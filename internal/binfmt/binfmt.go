@@ -111,10 +111,16 @@ func FromProgram(p *program.Program) *Image {
 		TypeWeights:  append([]float64(nil), p.TypeWeights...),
 	}
 	im.Funcs = make([]FuncRecord, len(p.Funcs))
+	ncalls := 0
+	for i := range p.Funcs {
+		ncalls += len(p.Funcs[i].Calls)
+	}
+	calls := make([]CallRecord, ncalls) // one backing array, carved per function
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
 		fr := FuncRecord{Addr: f.Addr, Size: f.Size, Seed: f.Seed, Kind: uint8(f.Kind), Stage: f.Stage}
-		fr.Calls = make([]CallRecord, len(f.Calls))
+		n := len(f.Calls)
+		fr.Calls, calls = calls[:n:n], calls[n:]
 		for j, c := range f.Calls {
 			fr.Calls[j] = CallRecord{Off: c.Off, Callee: c.Callee, Targets: c.Targets, Prob: c.Prob, Repeat: c.Repeat}
 		}

@@ -18,6 +18,7 @@ package callgraph
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hprefetch/internal/isa"
 	"hprefetch/internal/program"
@@ -173,6 +174,11 @@ func (a *Analysis) IsEntry(v isa.FuncID) bool {
 // Analyze runs reachable-size computation and Bundle entry identification
 // (Algorithm 1) over the graph.
 func Analyze(g *Graph, opt Options) (*Analysis, error) {
+	return analyze(g, opt, (*condensation).reachable)
+}
+
+// analyze is Analyze over a given reachable-size computation.
+func analyze(g *Graph, opt Options, reachable func(*condensation, uint64) ([]uint64, []bool)) (*Analysis, error) {
 	if opt.Threshold == 0 {
 		return nil, fmt.Errorf("callgraph: zero threshold")
 	}
@@ -184,7 +190,7 @@ func Analyze(g *Graph, opt Options) (*Analysis, error) {
 		return nil, fmt.Errorf("callgraph: cap %d below threshold %d", cap, opt.Threshold)
 	}
 	comp, compOf := scc(g)
-	reachC, satC := comp.reachable(cap)
+	reachC, satC := reachable(comp, cap)
 
 	a := &Analysis{
 		Reach:     make([]uint64, g.n),
@@ -353,18 +359,12 @@ func scc(g *Graph) (*condensation, []int32) {
 	}
 	cursor := make([]int32, ncomp)
 	copy(cursor, c.edgeStart[:ncomp])
-	// Reset marks per source component: iterate nodes grouped by comp
-	// is awkward, so use a second mark array keyed by source comp.
-	mark2 := make([]int32, ncomp)
-	for i := range mark2 {
-		mark2[i] = -1
-	}
 	for v := 0; v < n; v++ {
 		cv := compOf[v]
 		for _, w := range g.Callees(isa.FuncID(v)) {
 			cw := compOf[w]
-			if cw != cv && mark2[cw] != cv {
-				mark2[cw] = cv
+			if cw != cv && mark[cw] != cv {
+				mark[cw] = cv
 				c.edges[cursor[cv]] = cw
 				cursor[cv]++
 			}
@@ -374,38 +374,131 @@ func scc(g *Graph) (*condensation, []int32) {
 }
 
 // reachable computes, for every component, the total code size reachable
-// from it (itself included), saturating at cap. Since component IDs are
-// in reverse topological order, components reachable from c all have
-// IDs < c — but overlap between children forbids simple summation, so
-// each component runs its own capped depth-first search with an epoch
-// array to avoid reallocation.
+// from it (itself included), saturating at cap.
+//
+// Component IDs are in reverse topological order, so one ascending pass
+// sees every component after everything it calls. Overlap between
+// callees forbids plain summation, but only through shared components
+// (condensation in-degree >= 2): the in-degree-1 components hang off a
+// unique parent and so partition into disjoint private trees. priv(v)
+// is v plus its in-degree-1 callees' priv, and the exact reachable size
+// is priv(v) plus priv(s) summed over the set of shared components v
+// transitively enters. Those sets are kept as bitsets over the shared
+// components, interned because most components share a handful of them
+// (and most enter none at all, which costs nothing).
+//
+// A component whose exact size reaches cap runs the capped depth-first
+// search instead: its value is that walk's partial sum, which depends on
+// the visit order and is what Reach, the exclusion test and the DOT
+// labels report for saturated functions.
 func (c *condensation) reachable(cap uint64) ([]uint64, []bool) {
-	reach := make([]uint64, c.n)
-	sat := make([]bool, c.n)
-	epoch := make([]int32, c.n)
-	for i := range epoch {
-		epoch[i] = -1
+	indeg := make([]int32, c.n)
+	for _, w := range c.edges {
+		indeg[w]++
 	}
-	var stack []int32
-	for v := 0; v < c.n; v++ {
-		var acc uint64
-		stack = append(stack[:0], int32(v))
-		epoch[v] = int32(v)
-		for len(stack) > 0 && acc < cap {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			acc += c.size[u]
-			for _, w := range c.edges[c.edgeStart[u]:c.edgeStart[u+1]] {
-				if epoch[w] != int32(v) {
-					epoch[w] = int32(v)
-					stack = append(stack, w)
-				}
+	bit := make([]int32, c.n) // bit index of a shared component, else -1
+	var shared []int32
+	for v := range bit {
+		bit[v] = -1
+		if indeg[v] >= 2 {
+			bit[v] = int32(len(shared))
+			shared = append(shared, int32(v))
+		}
+	}
+
+	priv := make([]uint64, c.n)
+	setOf := make([]int32, c.n) // interned entered-set ID; 0 is the empty set
+	sets := [][]byte{nil}
+	sums := []uint64{0} // priv summed over each interned set's members
+	ids := map[string]int32{}
+	buf := make([]byte, (len(shared)+7)/8)
+	intern := func() int32 {
+		if id, ok := ids[string(buf)]; ok {
+			return id
+		}
+		id := int32(len(sets))
+		set := append([]byte(nil), buf...)
+		var sum uint64
+		for i, b := range set {
+			for ; b != 0; b &= b - 1 {
+				sum += priv[shared[i*8+bits.TrailingZeros8(b)]]
 			}
 		}
-		reach[v] = acc
-		sat[v] = acc >= cap
+		ids[string(set)] = id
+		sets = append(sets, set)
+		sums = append(sums, sum)
+		return id
+	}
+
+	reach := make([]uint64, c.n)
+	sat := make([]bool, c.n)
+	var sc cappedSearch
+	for v := 0; v < c.n; v++ {
+		p := c.size[v]
+		entered := false // buf holds v's entered set
+		for _, w := range c.edges[c.edgeStart[v]:c.edgeStart[v+1]] {
+			b := bit[w]
+			if b < 0 {
+				p += priv[w]
+				if setOf[w] == 0 {
+					continue
+				}
+			}
+			if !entered {
+				clear(buf)
+				entered = true
+			}
+			for i, x := range sets[setOf[w]] {
+				buf[i] |= x
+			}
+			if b >= 0 {
+				buf[b/8] |= 1 << (b % 8)
+			}
+		}
+		priv[v] = p
+		if entered {
+			setOf[v] = intern()
+		}
+		if r := p + sums[setOf[v]]; r < cap {
+			reach[v] = r
+		} else {
+			reach[v], sat[v] = sc.walk(c, int32(v), cap), true
+		}
 	}
 	return reach, sat
+}
+
+// cappedSearch is a depth-first walk that sums component sizes until
+// the total reaches cap, with an epoch array to avoid reallocation.
+type cappedSearch struct {
+	epoch []int32
+	stack []int32
+}
+
+// walk returns the bytes reachable from v, stopping at the first total
+// at or above cap (a partial sum whose value depends on the visit order).
+func (s *cappedSearch) walk(c *condensation, v int32, cap uint64) uint64 {
+	if s.epoch == nil {
+		s.epoch = make([]int32, c.n)
+		for i := range s.epoch {
+			s.epoch[i] = -1
+		}
+	}
+	var acc uint64
+	s.stack = append(s.stack[:0], v)
+	s.epoch[v] = v
+	for len(s.stack) > 0 && acc < cap {
+		u := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		acc += c.size[u]
+		for _, w := range c.edges[c.edgeStart[u]:c.edgeStart[u+1]] {
+			if s.epoch[w] != v {
+				s.epoch[w] = v
+				s.stack = append(s.stack, w)
+			}
+		}
+	}
+	return acc
 }
 
 // excluder answers "does the code reachable from father, never entering

@@ -103,14 +103,19 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 	// keeps the hot working set within a compact address range even in
 	// 100MB binaries. Each zone is shuffled internally so related
 	// functions still land on scattered cache blocks and pages.
-	var hot, cold []isa.FuncID
+	order := make([]isa.FuncID, 0, len(p.Funcs))
 	for i := range p.Funcs {
-		if p.Funcs[i].Kind == program.KindCold {
-			cold = append(cold, isa.FuncID(i))
-		} else {
-			hot = append(hot, isa.FuncID(i))
+		if p.Funcs[i].Kind != program.KindCold {
+			order = append(order, isa.FuncID(i))
 		}
 	}
+	nhot := len(order)
+	for i := range p.Funcs {
+		if p.Funcs[i].Kind == program.KindCold {
+			order = append(order, isa.FuncID(i))
+		}
+	}
+	hot, cold := order[:nhot], order[nhot:]
 	if shuffle {
 		rng := xrand.New(xrand.Mix(p.Seed, 0x1A10_07))
 		for _, zone := range [][]isa.FuncID{hot, cold} {
@@ -120,7 +125,6 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 			}
 		}
 	}
-	order := append(hot, cold...)
 	addr := base
 	for _, id := range order {
 		f := p.Func(id)
@@ -130,7 +134,7 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 	}
 	p.TextBase = base
 	p.TextSize = uint64(addr - base)
-	p.BuildAddrIndex()
+	p.SetAddrIndex(order)
 }
 
 // taggedAddrs computes the instruction addresses to tag: the return
@@ -140,10 +144,14 @@ func layout(p *program.Program, base isa.Addr, shuffle bool) {
 // address following the tagged instruction, so each dynamic target still
 // yields its own Bundle).
 func taggedAddrs(p *program.Program, a *callgraph.Analysis) []isa.Addr {
+	entry := make([]bool, len(p.Funcs))
+	for _, e := range a.Entries {
+		entry[e] = true
+	}
 	var addrs []isa.Addr
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		if a.IsEntry(isa.FuncID(i)) {
+		if entry[i] {
 			addrs = append(addrs, f.Addr+isa.Addr(f.RetOff()))
 		}
 		for ci := range f.Calls {
@@ -151,13 +159,13 @@ func taggedAddrs(p *program.Program, a *callgraph.Analysis) []isa.Addr {
 			tagged := false
 			if c.Indirect() {
 				for _, t := range p.TargetSets[c.Targets].Funcs {
-					if a.IsEntry(t) {
+					if entry[t] {
 						tagged = true
 						break
 					}
 				}
 			} else {
-				tagged = a.IsEntry(c.Callee)
+				tagged = entry[c.Callee]
 			}
 			if tagged {
 				addrs = append(addrs, f.Addr+isa.Addr(c.Off)+program.CallInstrOff)

@@ -77,19 +77,12 @@ func (c *ChainConfig) Validate() error {
 	return nil
 }
 
-// GenerateChain builds the synthetic microservice application described
-// by c. The result is unlinked, exactly like Generate's, and reuses the
-// same pools (libraries, cold trees, orphans), so every downstream
-// consumer — linker, Bundle analysis, loader, engine — works unchanged.
-func GenerateChain(c ChainConfig) (*Program, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
+// config is c.Base with one synthesised stage per service, breadth-first:
+// the stage index IS the service id, so Stage() samples identify the
+// running service.
+func (c *ChainConfig) config() Config {
 	cfg := c.Base
-	// One synthesised stage per service, breadth-first: the stage index
-	// IS the service id, so Stage() samples identify the running service.
-	n := c.Services()
-	cfg.Stages = make([]StageSpec, n)
+	cfg.Stages = make([]StageSpec, c.Services())
 	for i := range cfg.Stages {
 		cfg.Stages[i] = StageSpec{
 			Name:         fmt.Sprintf("svc%02d", i),
@@ -98,6 +91,18 @@ func GenerateChain(c ChainConfig) (*Program, error) {
 			HandlerFuncs: c.ServiceHandlerFuncs,
 		}
 	}
+	return cfg
+}
+
+// GenerateChain builds the synthetic microservice application described
+// by c. The result is unlinked, exactly like Generate's, and reuses the
+// same pools (libraries, cold trees, orphans), so every downstream
+// consumer — linker, Bundle analysis, loader, engine — works unchanged.
+func GenerateChain(c ChainConfig) (*Program, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	cfg := c.config()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,6 +113,7 @@ func GenerateChain(c ChainConfig) (*Program, error) {
 			Name:         cfg.Name,
 			Seed:         cfg.Seed,
 			RequestTypes: cfg.RequestTypes,
+			Funcs:        make([]Function, 0, cfg.funcCount()),
 		},
 	}
 	b.prog.TypeWeights = xrand.ZipfWeights(cfg.RequestTypes, cfg.TypeZipf)

@@ -93,6 +93,19 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// funcCount bounds the number of functions the generator creates from c,
+// so the function slice is allocated once instead of regrown.
+func (c *Config) funcCount() int {
+	n := 1 + c.LibFuncs + c.OrphanFuncs + c.ColdTrees*max(c.ColdTreeFuncs, 1)
+	for _, ss := range c.Stages {
+		n += 1 + ss.CommonFuncs
+		if ss.Diverges {
+			n += c.RequestTypes * max(ss.HandlerFuncs, 1)
+		}
+	}
+	return n
+}
+
 // DefaultConfig returns a mid-sized server application configuration,
 // useful as a starting point for custom workloads and in examples.
 func DefaultConfig() Config {
@@ -149,6 +162,7 @@ func Generate(cfg Config) (*Program, error) {
 			Name:         cfg.Name,
 			Seed:         cfg.Seed,
 			RequestTypes: cfg.RequestTypes,
+			Funcs:        make([]Function, 0, cfg.funcCount()),
 		},
 	}
 	b.prog.TypeWeights = xrand.ZipfWeights(cfg.RequestTypes, cfg.TypeZipf)

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -233,6 +234,63 @@ func TestFuncAtUnlinked(t *testing.T) {
 	}
 	if _, ok := p.FuncAt(0x1000); ok {
 		t.Error("FuncAt must fail on unlinked programs")
+	}
+}
+
+// TestSetAddrIndexMatchesSort lays a program out in a reversed order and
+// checks the layout-order index equals the sorted one, and that a
+// zero-size function (a tie in addresses) falls back to sorting.
+func TestSetAddrIndexMatchesSort(t *testing.T) {
+	p, err := Generate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := p.NumFuncs()
+	order := make([]isa.FuncID, n)
+	addr := isa.Addr(0x1000)
+	for i := range order {
+		order[i] = isa.FuncID(n - 1 - i)
+		p.Funcs[order[i]].Addr = addr
+		addr += isa.Addr(p.Funcs[order[i]].Size)
+	}
+	p.TextBase, p.TextSize = 0x1000, uint64(addr-0x1000)
+	p.BuildAddrIndex()
+	sorted := p.addrIndex
+	p.SetAddrIndex(append([]isa.FuncID(nil), order...))
+	if !slices.Equal(p.addrIndex, sorted) {
+		t.Fatal("layout-order index differs from the sorted one")
+	}
+
+	// A zero-size function at the same address as its successor.
+	p.Funcs[order[1]].Size = 0
+	p.Funcs[order[2]].Addr = p.Funcs[order[1]].Addr
+	p.SetAddrIndex(order)
+	if &p.addrIndex[0] == &order[0] {
+		t.Error("an order with tied addresses was adopted instead of sorted")
+	}
+}
+
+// TestFuncCountBoundsGeneration checks the function slice is allocated
+// once: funcCount is never below what either generator creates.
+func TestFuncCountBoundsGeneration(t *testing.T) {
+	cfg := testConfig()
+	chain := ChainConfig{Base: cfg, Depth: 3, Fanout: 2, ServiceCommonFuncs: 40, ServiceHandlerFuncs: 30}
+	p, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := GenerateChain(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainCfg := chain.config()
+	for _, c := range []struct {
+		p    *Program
+		want int
+	}{{p, cfg.funcCount()}, {q, chainCfg.funcCount()}} {
+		if got := cap(c.p.Funcs); got != c.want {
+			t.Errorf("%d functions regrew the slice to capacity %d, want %d", len(c.p.Funcs), got, c.want)
+		}
 	}
 }
 

@@ -209,8 +209,8 @@ func (p *Program) FuncName(id isa.FuncID) string {
 func (p *Program) Linked() bool { return p.TextSize != 0 }
 
 // BuildAddrIndex (re)builds the address-sorted function index used by
-// FuncAt. The linker calls it after assigning the layout; image decoding
-// calls it for linked images.
+// FuncAt by sorting. Image decoding calls it for linked images; the
+// linker, which knows its layout order, uses SetAddrIndex instead.
 func (p *Program) BuildAddrIndex() {
 	p.addrIndex = make([]isa.FuncID, len(p.Funcs))
 	for i := range p.addrIndex {
@@ -219,6 +219,24 @@ func (p *Program) BuildAddrIndex() {
 	sort.Slice(p.addrIndex, func(a, b int) bool {
 		return p.Funcs[p.addrIndex[a]].Addr < p.Funcs[p.addrIndex[b]].Addr
 	})
+}
+
+// SetAddrIndex installs order, the functions in layout order, as the
+// address index without sorting. When order is not every function at
+// strictly ascending addresses (a zero-size function shares its
+// successor's address), it falls back to BuildAddrIndex.
+func (p *Program) SetAddrIndex(order []isa.FuncID) {
+	if len(order) != len(p.Funcs) {
+		p.BuildAddrIndex()
+		return
+	}
+	for i := 1; i < len(order); i++ {
+		if p.Funcs[order[i-1]].Addr >= p.Funcs[order[i]].Addr {
+			p.BuildAddrIndex()
+			return
+		}
+	}
+	p.addrIndex = order
 }
 
 // FuncAt returns the function containing addr, or (NoFunc, false) when

@@ -109,13 +109,18 @@ type Machine struct {
 	// cursor, bpos+predOff the prediction cursor, and bpull the pull
 	// high-water (how many events the interface path would have pulled
 	// into its ring), sampled at Run boundaries for Requests parity.
-	bsrc    BatchSource
-	bev     []isa.BlockEvent
-	breq    []uint64
-	bdone   []bool
-	bpos    int
-	bpull   int
-	scratch isa.BlockEvent // fault-injection copy, so flips never touch bev
+	bsrc  BatchSource
+	bev   []isa.BlockEvent
+	breq  []uint64
+	bdone []bool
+	bpos  int
+	bpull int
+	// scratch is the machine-owned slot fetch retires from: the live
+	// path pops each event into it, so the pointer handed on to the
+	// prefetcher never escapes a per-event copy to the heap, and the
+	// batch path copies into it under fault injection, so tag flips
+	// never touch bev.
+	scratch isa.BlockEvent
 
 	// Evaluated-prefetcher request queue: requests park here when the
 	// MSHR file is full and drain as fills complete. Each remembers the
@@ -278,11 +283,12 @@ func (m *Machine) Run(n uint64) error {
 		if m.err != nil {
 			break
 		}
-		ev, wasInFTQ := m.popEvent()
+		var wasInFTQ bool
+		m.scratch, wasInFTQ = m.popEvent()
 		if m.err != nil {
 			break
 		}
-		m.fetch(&ev, wasInFTQ)
+		m.fetch(&m.scratch, wasInFTQ)
 	}
 	m.st.Requests += m.eng.Requests() - startReq
 	m.st.ScaledCycles = m.now + m.backendExtra - m.statsBase
@@ -673,8 +679,8 @@ func (m *Machine) fetch(ev *isa.BlockEvent, wasInFTQ bool) {
 
 	if m.pf != nil {
 		// Runtime tag fault: the Bundle-entry bit the prefetcher sees
-		// is inverted (ev is a local copy, so the flip is confined to
-		// this observation).
+		// is inverted (ev is the machine's scratch copy, so the flip is
+		// confined to this observation).
 		if m.inj != nil && m.inj.FlipTag() {
 			ev.Tagged = !ev.Tagged
 			m.st.FaultTagFlips++

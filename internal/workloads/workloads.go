@@ -8,9 +8,10 @@
 // shapes following each system's request flow, and request mixes
 // following each benchmark driver.
 //
-// Linked programs are expensive to build for the large presets (the
-// static analysis walks call graphs with up to hundreds of thousands of
-// functions), so Build memoises per name.
+// Every experiment reuses the same few linked programs, and the largest
+// presets have hundreds of thousands of functions, so Build memoises per
+// name with single-flight: each name is built once, and different names
+// build in parallel.
 package workloads
 
 import (
@@ -328,19 +329,56 @@ func (b *Built) EngineOver(ld *loader.Loaded) Engine {
 	return trace.New(ld, b.Workload.TraceSeed)
 }
 
+// flight is one build of a workload. b and err are written exactly once,
+// before done closes.
+type flight struct {
+	done chan struct{}
+	b    *Built
+	err  error
+}
+
 var (
 	cacheMu sync.Mutex
-	cache   = map[string]*Built{}
+	cache   = map[string]*flight{}
 )
 
-// Build generates, links and loads a workload, memoising the result: the
-// large presets take seconds to analyse and every experiment reuses them.
+// Build generates, links and loads a workload, memoising the result per
+// name with single-flight: concurrent calls for one name share a single
+// build, different names build in parallel, and a failed build is
+// returned to every caller that shared it but never cached, so the next
+// call tries again.
 func Build(name string) (*Built, error) {
 	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if b, ok := cache[name]; ok {
-		return b, nil
+	f, ok := cache[name]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		cache[name] = f
 	}
+	cacheMu.Unlock()
+	if ok {
+		<-f.done
+		return f.b, f.err
+	}
+
+	defer func() {
+		if f.b == nil && f.err == nil { // build panicked: release the waiters
+			f.err = fmt.Errorf("workloads %s: build panicked", name)
+		}
+		if f.err != nil {
+			cacheMu.Lock()
+			if cache[name] == f {
+				delete(cache, name)
+			}
+			cacheMu.Unlock()
+		}
+		close(f.done)
+	}()
+	f.b, f.err = build(name)
+	return f.b, f.err
+}
+
+// build generates, links and loads one workload without memoising.
+func build(name string) (*Built, error) {
 	w, err := Get(name)
 	if err != nil {
 		return nil, err
@@ -357,17 +395,16 @@ func Build(name string) (*Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads %s: %w", name, err)
 	}
-	b := &Built{Workload: w, Linked: l, Loaded: loader.LoadLinked(p, l.Image)}
-	cache[name] = b
-	return b, nil
+	return &Built{Workload: w, Linked: l, Loaded: loader.LoadLinked(p, l.Image)}, nil
 }
 
 // DropCache releases all memoised workloads (tests and memory-sensitive
-// tools).
+// tools). Builds in flight finish for the callers already waiting on
+// them; later calls build afresh.
 func DropCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	cache = map[string]*Built{}
+	cache = map[string]*flight{}
 }
 
 // SortedNames returns Names() sorted alphabetically, for stable table
