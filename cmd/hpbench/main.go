@@ -208,7 +208,7 @@ func measure(iters int) (map[string]float64, []rawRecord, error) {
 
 	// Replay vs live: the BenchmarkReplayVsLive pair — the same
 	// (workload, scheme, window) from the live engine and from a
-	// recorded trace consumed through the batch fast path.
+	// decoded recorded trace, whose columns the machine reads in place.
 	rc := harness.DefaultRunConfig()
 	rc.Workloads = []string{"gin"}
 	rc.WarmInstr = 500_000

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -133,6 +135,43 @@ func TestRecordTeeAndCrossSchemeReplay(t *testing.T) {
 	}
 	if lc, rp := liveHier.Stats.Canonical(), replayHier.Stats.Canonical(); lc != rp {
 		t.Errorf("Hierarchical replayed from an FDIP-teed trace differs from live:\n--- live\n%s--- replay\n%s", lc, rp)
+	}
+}
+
+// TestRecordTeePullDistance pins how far a run pulls from its source:
+// the trace a RecordPath run tees holds exactly the events the machine
+// pulled (fetch plus FTQ lookahead) and then the recorder's fixed tail.
+// A lookahead window that read further ahead than the FTQ needs would
+// grow every recorded trace silently; here it changes the summary and
+// the file hash instead.
+func TestRecordTeePullDistance(t *testing.T) {
+	rc := goldenRunConfig()
+	path := filepath.Join(t.TempDir(), "gin"+TraceExt)
+	rc.RecordPath = path
+	if _, err := runOne(context.Background(), "gin", SchemeFDIP, rc); err != nil {
+		t.Fatal(err)
+	}
+	info, err := tracefile.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	const (
+		wantEvents = 72393
+		wantInstr  = 637058
+		wantReq    = 1
+		wantSHA    = "072cb293dbb362bb6b742433010a712b090390a4d1156be4aefae4dbad19adc1"
+	)
+	if info.Events != wantEvents || info.Instructions != wantInstr || info.Requests != wantReq {
+		t.Errorf("teed trace holds %d events, %d instructions, %d requests; want %d, %d, %d",
+			info.Events, info.Instructions, info.Requests, wantEvents, wantInstr, wantReq)
+	}
+	if got := hex.EncodeToString(sum[:]); got != wantSHA {
+		t.Errorf("teed trace sha256 %s, want %s", got, wantSHA)
 	}
 }
 

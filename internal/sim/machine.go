@@ -77,25 +77,31 @@ type Machine struct {
 	nextPFSlot   uint64
 	missLatEst   uint64
 
-	// Lookahead ring: ring[head..head+count) are events pulled from the
-	// engine but not yet fetched. The first predOff of them are in the
-	// FTQ (the cursor has passed them).
-	ring    []isa.BlockEvent
-	head    int
-	count   int
+	// Lookahead window: ev[pos:pos+predOff] are in the FTQ (the cursor
+	// has passed them) and ev[pos] is next to fetch. req, done and reqs
+	// run parallel to ev: each event's request id, its request-done
+	// flag, and the source's Requests count after it. For a BatchSource
+	// the window aliases the decoded arrays of the whole remaining
+	// stream; for any other source it is a machine-owned buffer that
+	// fill appends Next results to one at a time, exactly as far as the
+	// cursors reach, dropping the fetched prefix when full. hw is the
+	// pull high-water as of the last FTQ flush (see pulled).
+	ev      []isa.BlockEvent
+	req     []uint64
+	done    []bool
+	reqs    []uint64
+	pos, hw int
+	reqBase uint64 // the source's Requests count before ev[0]
+	stream  bool   // the window is filled by Next, not aliased
 	predOff int
 	blocked blockKind
 
 	// Per-request stall attribution (active when the source implements
-	// RequestMarker). ringReq/ringDone shadow the lookahead ring with the
-	// marks sampled as each event was pulled; curReq/curDone are the
-	// marks of the event currently being fetched; reqStall accumulates
-	// each in-flight request's exposed fetch stall. The map deliberately
-	// survives ResetStats so a request spanning the warmup/measure
-	// boundary completes with its full stall.
+	// RequestMarker): curReq/curDone are the marks of the event being
+	// fetched; reqStall accumulates each in-flight request's exposed
+	// fetch stall. The map deliberately survives ResetStats so a request
+	// spanning the warmup/measure boundary completes with its full stall.
 	marker   RequestMarker
-	ringReq  []uint64
-	ringDone []bool
 	curReq   uint64
 	curDone  bool
 	reqStall map[uint64]uint64
@@ -104,22 +110,9 @@ type Machine struct {
 	// construction so the run loop's exhaustion path never type-asserts.
 	srcErr func() error
 
-	// Batch fast path (source implements BatchSource): the lookahead
-	// window indexes the decoded arrays directly — bpos is the fetch
-	// cursor, bpos+predOff the prediction cursor, and bpull the pull
-	// high-water (how many events the interface path would have pulled
-	// into its ring), sampled at Run boundaries for Requests parity.
-	bsrc  BatchSource
-	bev   []isa.BlockEvent
-	breq  []uint64
-	bdone []bool
-	bpos  int
-	bpull int
-	// scratch is the machine-owned slot fetch retires from: the live
-	// path pops each event into it, so the pointer handed on to the
-	// prefetcher never escapes a per-event copy to the heap, and the
-	// batch path copies into it under fault injection, so tag flips
-	// never touch bev.
+	// scratch is the copy fetch retires from under fault injection, so
+	// tag flips never write through to the window (which may alias
+	// another cursor's decoded trace).
 	scratch isa.BlockEvent
 
 	// Evaluated-prefetcher request queue: requests park here when the
@@ -127,11 +120,6 @@ type Machine struct {
 	// block sequence at request time (the paper measures prefetch
 	// distance from the trigger, not from eventual issue).
 	pfQueue []pfReq
-
-	// LateHook, when set, is called on every late demand fill with the
-	// block, the origin of the in-flight request, and the serving
-	// level. It exists for diagnostics and tests only.
-	LateHook func(blk isa.Block, origin cache.Origin, level uint8)
 
 	// Retired-block history ring (monotonic times).
 	histBlocks []isa.Block
@@ -189,22 +177,26 @@ func New(prm Params, eng EventSource, pf prefetch.Prefetcher) (*Machine, error) 
 		itlb:       itlb,
 		mshr:       cache.NewMSHRFile(prm.MSHRs),
 		missLatEst: prm.LLCLatency * CycleScale,
-		ring:       make([]isa.BlockEvent, prm.FTQEntries+2),
+		reqBase:    eng.Requests(),
 		histBlocks: make([]isa.Block, historyLen),
 		histTimes:  make([]uint64, historyLen),
 	}
 	if rm, ok := eng.(RequestMarker); ok {
 		m.marker = rm
-		m.ringReq = make([]uint64, len(m.ring))
-		m.ringDone = make([]bool, len(m.ring))
 		m.reqStall = make(map[uint64]uint64)
 	}
 	if es, ok := eng.(interface{ Err() error }); ok {
 		m.srcErr = es.Err
 	}
 	if bs, ok := eng.(BatchSource); ok {
-		m.bsrc = bs
-		m.bev, m.breq, m.bdone = bs.Batch()
+		m.ev, m.req, m.done, m.reqs = bs.Batch()
+	} else {
+		n := prm.FTQEntries + streamSlack
+		m.stream = true
+		m.ev = make([]isa.BlockEvent, 0, n)
+		m.req = make([]uint64, 0, n)
+		m.done = make([]bool, 0, n)
+		m.reqs = make([]uint64, 0, n)
 	}
 	return m, nil
 }
@@ -246,9 +238,6 @@ func (m *Machine) fail(err error) {
 	}
 }
 
-// Params returns the machine configuration.
-func (m *Machine) Params() Params { return m.prm }
-
 // ResetStats discards statistics while keeping all warmed-up state
 // (caches, predictors, prefetcher metadata) — the paper's warmup/measure
 // protocol.
@@ -265,11 +254,8 @@ func (m *Machine) ResetStats() {
 // stops early and reports the failure if the machine's internal
 // bookkeeping ever breaks (statistics up to that point stay valid).
 func (m *Machine) Run(n uint64) error {
-	if m.bsrc != nil {
-		return m.runBatch(n)
-	}
 	target := m.st.Instructions + n
-	startReq := m.eng.Requests()
+	startReq := m.requestsAt(m.pulled())
 	var ctxErr error
 	var steps uint64
 	for m.st.Instructions < target && m.err == nil {
@@ -283,128 +269,31 @@ func (m *Machine) Run(n uint64) error {
 		if m.err != nil {
 			break
 		}
-		var wasInFTQ bool
-		m.scratch, wasInFTQ = m.popEvent()
-		if m.err != nil {
+		if !m.pull(0) {
 			break
 		}
-		m.fetch(&m.scratch, wasInFTQ)
-	}
-	m.st.Requests += m.eng.Requests() - startReq
-	m.st.ScaledCycles = m.now + m.backendExtra - m.statsBase
-	if m.err != nil {
-		return m.err
-	}
-	return ctxErr
-}
-
-// runBatch is Run over a batch source: the identical cycle loop with
-// the lookahead window indexed straight into the decoded event arrays —
-// no per-event interface dispatch, ring copies, or marker lookups. The
-// interface and batch paths are observationally equivalent, so digests
-// never depend on which one ran.
-func (m *Machine) runBatch(n uint64) error {
-	target := m.st.Instructions + n
-	startReq := m.bsrc.BatchRequests(m.bpull)
-	var ctxErr error
-	var steps uint64
-	for m.st.Instructions < target && m.err == nil {
-		if m.ctx != nil && steps%ctxCheckInterval == 0 {
-			if ctxErr = m.ctx.Err(); ctxErr != nil {
-				break
-			}
-		}
-		steps++
-		m.advanceCursorBatch()
-		if m.err != nil {
-			break
-		}
-		// Pop the oldest event in place (popEvent without the ring).
-		if m.bpos >= len(m.bev) {
-			m.batchDry()
-			break
-		}
-		if m.bpos+1 > m.bpull {
-			m.bpull = m.bpos + 1
-		}
-		ev := &m.bev[m.bpos]
+		ev := &m.ev[m.pos]
 		if m.marker != nil {
-			m.curReq = m.breq[m.bpos]
-			m.curDone = m.bdone[m.bpos]
+			m.curReq, m.curDone = m.req[m.pos], m.done[m.pos]
 		}
-		m.bpos++
+		m.pos++
 		wasInFTQ := false
 		if m.predOff > 0 {
 			m.predOff--
 			wasInFTQ = true
 		}
 		if m.inj != nil {
-			// fetch may flip the Tagged bit under fault injection; give
-			// it a scratch copy so the shared decoded arrays stay intact.
 			m.scratch = *ev
 			ev = &m.scratch
 		}
 		m.fetch(ev, wasInFTQ)
 	}
-	m.st.Requests += m.bsrc.BatchRequests(m.bpull) - startReq
+	m.st.Requests += m.requestsAt(m.pulled()) - startReq
 	m.st.ScaledCycles = m.now + m.backendExtra - m.statsBase
 	if m.err != nil {
 		return m.err
 	}
 	return ctxErr
-}
-
-// advanceCursorBatch is advanceCursor over the decoded arrays.
-func (m *Machine) advanceCursorBatch() {
-	for m.blocked == notBlocked && m.predOff < m.prm.FTQEntries {
-		if !m.specSynced {
-			m.specHist = m.archHist
-			m.specRAS.CopyFrom(m.archRAS)
-			m.specSynced = true
-		}
-		i := m.bpos + m.predOff
-		if i >= len(m.bev) {
-			m.batchDry()
-			return
-		}
-		if i+1 > m.bpull {
-			m.bpull = i + 1
-		}
-		ev := &m.bev[i]
-		m.predOff++
-		// The branch predictor produces one fetch region per cycle;
-		// FTQ refill after a flush is not instantaneous.
-		if m.cursorClock < m.now {
-			m.cursorClock = m.now
-		}
-		m.cursorClock += CycleScale
-		if !m.prm.DisableFDIP && !m.prm.PerfectL1I {
-			if m.issueFill(ev.Block(), cache.OriginFDIP, m.cursorClock) {
-				m.st.FDIPIssued++
-			}
-		}
-		m.blocked = m.predictSpec(ev)
-	}
-}
-
-// batchDry latches the end-of-stream error exactly as ensure does,
-// first syncing the source cursor so its Instructions/Err report the
-// exhausted position, and raising the pull high-water to the full
-// stream as the interface path's failed pull would.
-func (m *Machine) batchDry() {
-	// The source cursor never moved while the batch path indexed the
-	// arrays; consume the whole view to reach the exhausted position.
-	m.bsrc.BatchConsume(len(m.bev))
-	m.bpos = len(m.bev)
-	m.bpull = len(m.bev)
-	cause := errors.New("event source ran dry")
-	if m.srcErr != nil {
-		if err := m.srcErr(); err != nil {
-			cause = err
-		}
-	}
-	m.fail(fmt.Errorf("sim: event stream ended after %d instructions: %w",
-		m.eng.Instructions(), cause))
 }
 
 // SkipFunctional advances the stream by at least n instructions without
@@ -423,9 +312,7 @@ func (m *Machine) SkipFunctional(n uint64) error {
 	if m.err != nil {
 		return m.err
 	}
-	m.predOff = 0
-	m.blocked = notBlocked
-	m.specSynced = false
+	m.flushFTQ()
 	m.mshr.Drain(^uint64(0), func(e *cache.MSHR) {
 		m.installL1I(e.Block, e.Origin, e.IssueSeq, false, false)
 	})
@@ -435,30 +322,14 @@ func (m *Machine) SkipFunctional(n uint64) error {
 		// dropping them beats mis-charging a later interval.
 		clear(m.reqStall)
 	}
-	var done uint64
-	if m.bsrc != nil {
-		for done < n {
-			if m.bpos >= len(m.bev) {
-				m.batchDry()
-				return m.err
-			}
-			if m.bpos+1 > m.bpull {
-				m.bpull = m.bpos + 1
-			}
-			ev := &m.bev[m.bpos]
-			m.bpos++
-			done += uint64(ev.NumInstr)
-			m.warmEvent(ev)
-		}
-		return nil
-	}
-	for done < n {
-		ev, _ := m.popEvent()
-		if m.err != nil {
+	for done := uint64(0); done < n; {
+		if !m.pull(0) {
 			return m.err
 		}
+		ev := &m.ev[m.pos]
+		m.pos++
 		done += uint64(ev.NumInstr)
-		m.warmEvent(&ev)
+		m.warmEvent(ev)
 	}
 	return nil
 }
@@ -489,53 +360,80 @@ func (m *Machine) warmEvent(ev *isa.BlockEvent) {
 	m.trainArch(ev)
 }
 
-// ensure pulls source events until ring position i exists. A finite
-// source running dry (zero event) latches an error instead of feeding
-// the ring garbage — replaying a trace shorter than the run is a
-// failure, not a silent stall.
-func (m *Machine) ensure(i int) {
-	for m.count <= i {
-		ev := m.eng.Next()
-		if ev.NumInstr == 0 {
-			cause := errors.New("event source ran dry")
-			if m.srcErr != nil {
-				if err := m.srcErr(); err != nil {
-					cause = err
-				}
-			}
-			m.fail(fmt.Errorf("sim: event stream ended after %d instructions: %w",
-				m.eng.Instructions(), cause))
-			return
-		}
-		idx := (m.head + m.count) % len(m.ring)
-		m.ring[idx] = ev
-		if m.marker != nil {
-			m.ringReq[idx] = m.marker.CurrentRequest()
-			m.ringDone[idx] = m.marker.RequestDone()
-		}
-		m.count++
-	}
+// streamSlack is how many events a streaming window appends between
+// compactions, beyond the FTQ's worth it always keeps.
+const streamSlack = 64
+
+// pull makes the event off places past fetch available in the window.
+// A finite source running dry latches an error instead of feeding the
+// window garbage — replaying a trace shorter than the run is a failure,
+// not a silent stall — and pull reports false.
+func (m *Machine) pull(off int) bool {
+	return m.pos+off < len(m.ev) || m.fill()
 }
 
-// popEvent removes the oldest event, reporting whether the cursor had
-// already passed it (it was in the FTQ).
-func (m *Machine) popEvent() (isa.BlockEvent, bool) {
-	m.ensure(0)
-	if m.count == 0 {
-		return isa.BlockEvent{}, false
+// fill appends the source's next event and its marks to a streaming
+// window, first dropping the fetched prefix if the buffers are full. At
+// the end of the stream (at once, for an aliased window) it latches the
+// exhaustion error and reports false.
+func (m *Machine) fill() bool {
+	var ev isa.BlockEvent
+	if m.stream {
+		ev = m.eng.Next()
 	}
-	ev := m.ring[m.head]
+	if ev.NumInstr == 0 {
+		cause := errors.New("event source ran dry")
+		if m.srcErr != nil {
+			if err := m.srcErr(); err != nil {
+				cause = err
+			}
+		}
+		m.fail(fmt.Errorf("sim: event stream ended after %d instructions: %w",
+			m.eng.Instructions(), cause))
+		return false
+	}
+	if len(m.ev) == cap(m.ev) {
+		k := m.pos
+		m.reqBase = m.requestsAt(k)
+		m.hw = m.pulled() - k
+		m.pos = 0
+		m.ev, m.req, m.done, m.reqs = shift(m.ev, k), shift(m.req, k), shift(m.done, k), shift(m.reqs, k)
+	}
+	var req uint64
+	var done bool
 	if m.marker != nil {
-		m.curReq = m.ringReq[m.head]
-		m.curDone = m.ringDone[m.head]
+		req, done = m.marker.CurrentRequest(), m.marker.RequestDone()
 	}
-	m.head = (m.head + 1) % len(m.ring)
-	m.count--
-	if m.predOff > 0 {
-		m.predOff--
-		return ev, true
+	m.ev = append(m.ev, ev)
+	m.req = append(m.req, req)
+	m.done = append(m.done, done)
+	m.reqs = append(m.reqs, m.eng.Requests())
+	return true
+}
+
+// shift drops the first k elements of s in place.
+func shift[T any](s []T, k int) []T { return s[:copy(s, s[k:])] }
+
+// pulled is the window's pull high-water: the furthest the fetch or
+// prediction cursor has reached. Their reach only falls when the FTQ is
+// flushed, and flushFTQ records it in hw first.
+func (m *Machine) pulled() int { return max(m.hw, m.pos+m.predOff) }
+
+// requestsAt is the source's Requests count after the first n window
+// events: what Requests would read had only they been pulled by Next.
+func (m *Machine) requestsAt(n int) uint64 {
+	if n == 0 {
+		return m.reqBase
 	}
-	return ev, false
+	return m.reqs[n-1]
+}
+
+// flushFTQ squashes everything the cursor did beyond fetch.
+func (m *Machine) flushFTQ() {
+	m.hw = m.pulled()
+	m.predOff = 0
+	m.blocked = notBlocked
+	m.specSynced = false
 }
 
 // advanceCursor runs the prediction cursor ahead of fetch, enqueuing
@@ -549,11 +447,10 @@ func (m *Machine) advanceCursor() {
 			m.specRAS.CopyFrom(m.archRAS)
 			m.specSynced = true
 		}
-		m.ensure(m.predOff)
-		if m.count <= m.predOff {
-			return // source ran dry; the error is latched
+		if !m.pull(m.predOff) {
+			return
 		}
-		ev := &m.ring[(m.head+m.predOff)%len(m.ring)]
+		ev := &m.ev[m.pos+m.predOff]
 		m.predOff++
 		// The branch predictor produces one fetch region per cycle;
 		// FTQ refill after a flush is not instantaneous.
@@ -791,10 +688,7 @@ func (m *Machine) redirect(kind blockKind) {
 		m.now += m.prm.MispredictPenalty * CycleScale
 		m.st.RASMispredicts++
 	}
-	// Squash anything the cursor did beyond fetch.
-	m.predOff = 0
-	m.blocked = notBlocked
-	m.specSynced = false
+	m.flushFTQ()
 	if m.pf != nil && kind != blockBTBMiss {
 		m.pf.OnResteer()
 	}
@@ -834,9 +728,6 @@ func (m *Machine) demandAccess(blk isa.Block) {
 		// Late prefetch: stall for the residual latency.
 		residual := e.FillAt - m.now
 		m.stall(residual)
-		if m.LateHook != nil {
-			m.LateHook(blk, e.Origin, e.Level)
-		}
 		m.mshr.Remove(blk)
 		m.installL1I(blk, e.Origin, e.IssueSeq, true, true)
 		m.st.L1ILateHits++

@@ -3,11 +3,12 @@ package sim
 import "hprefetch/internal/isa"
 
 // EventSource feeds the machine its retired block-event stream. The
-// live implementation is trace.Engine (interpreting the synthetic
-// program); tracefile.Reader replays a recorded stream and
-// tracefile.Recorder tees a live one to disk — all three satisfy this
-// interface structurally, so the machine cannot tell record, replay and
-// live apart (which is exactly the digest-equality guarantee).
+// live implementations are trace.Engine (interpreting the synthetic
+// program) and microsvc.Engine (interleaving request chains);
+// tracefile.Reader replays a recorded stream and tracefile.Recorder
+// tees a live one to disk. The machine pulls every source through one
+// lookahead window, so it cannot tell record, replay and live apart
+// (which is exactly the digest-equality guarantee).
 //
 // The counters follow the engine's sampling contract: they describe
 // the state after the most recently returned event and are only
@@ -36,32 +37,21 @@ type EventSource interface {
 	Depth() int
 }
 
-// BatchSource is the optional flat fast-path interface for fully
-// decoded in-memory sources (tracefile.MemReader). The machine, on
-// seeing it, reads the remaining stream as struct-of-arrays slices and
-// runs its cycle loop by direct indexing — no per-event interface
-// dispatch, ring copies, or marker lookups. Live and teeing sources
-// keep the interface path; behavior (and hence every digest) is
-// identical between the two.
-//
-// Handing a source to a batch consumer transfers cursor ownership: the
-// consumer indexes the Batch view and only syncs the source's own
-// cursor (BatchConsume) when the stream runs out, so Instructions/Err
-// report the same terminal state the interface path would.
+// BatchSource is the optional interface of a fully decoded in-memory
+// source (tracefile.MemReader). Instead of copying Next results into
+// its own buffer, the machine's lookahead window aliases the arrays
+// Batch returns and reads them in place; everything else about the run
+// is the same code, so every digest is too.
 type BatchSource interface {
 	EventSource
-	// Batch returns the undelivered remainder of the stream as flat
-	// parallel slices: the events, each event's request id, and its
-	// request-done flip. The slices alias the source's decoded storage
-	// and must not be mutated.
-	Batch() (ev []isa.BlockEvent, req []uint64, done []bool)
-	// BatchRequests returns what Requests would read after n more
-	// events had been delivered; the machine samples it at its pull
-	// high-water at Run boundaries for digest parity.
-	BatchRequests(n int) uint64
-	// BatchConsume advances the source's cursor past the first n events
-	// of the most recent Batch view, as if Next had been called n times.
-	BatchConsume(n int)
+	// Batch hands over the undelivered remainder of the stream as flat
+	// parallel slices: the events, each event's request id and
+	// request-done flag (as RequestMarker would report them after it),
+	// and the Requests count after it. The slices alias the source's
+	// decoded storage and must not be mutated. The source's cursor moves
+	// to the end of the stream, as if Next had run until it returned the
+	// zero event, so Instructions and Err report the exhausted state.
+	Batch() (ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64)
 }
 
 // RequestMarker is the optional per-request boundary interface. Sources

@@ -17,14 +17,16 @@ type Loaded struct {
 	meta       Meta
 	startInstr uint64
 	startAttrs Attrs
+	endInstr   uint64 // Instructions after the last event
 	events     []isa.BlockEvent
-	attrs      []Attrs
-	// Struct-of-arrays view of the per-event request marks, built once
-	// at load time so the simulator's batch fast path reads two flat
-	// arrays instead of chasing Attrs structs per event.
-	reqID []uint64
-	done  []bool
-	term  error // terminal condition: ErrExhausted, or wraps ErrTruncated
+	// The attribution sampled after each event, one column per Attrs
+	// field, so the simulator reads the request columns in place
+	// (MemReader.Batch); MemReader.Next reassembles an Attrs.
+	requests, reqID []uint64
+	typ, depth      []int
+	stage           []int16
+	done            []bool
+	term            error // terminal condition: ErrExhausted, or wraps ErrTruncated
 }
 
 // Load decodes an entire trace into memory. A torn tail is not an
@@ -44,29 +46,43 @@ func Load(path string) (*Loaded, error) {
 		startInstr: r.Instructions(),
 		startAttrs: r.cur,
 	}
+	n := 0
 	if r.index != nil {
-		l.events = make([]isa.BlockEvent, 0, r.total.Events)
-		l.attrs = make([]Attrs, 0, r.total.Events)
+		n = int(r.total.Events)
 	}
+	l.events = make([]isa.BlockEvent, 0, n)
+	l.requests, l.reqID = make([]uint64, 0, n), make([]uint64, 0, n)
+	l.typ, l.depth = make([]int, 0, n), make([]int, 0, n)
+	l.stage, l.done = make([]int16, 0, n), make([]bool, 0, n)
 	for {
 		ev := r.Next()
 		if ev.NumInstr == 0 {
 			break
 		}
+		a := r.cur
 		l.events = append(l.events, ev)
-		l.attrs = append(l.attrs, r.cur)
+		l.requests, l.reqID = append(l.requests, a.Requests), append(l.reqID, a.Request)
+		l.typ, l.depth = append(l.typ, a.Type), append(l.depth, a.Depth)
+		l.stage, l.done = append(l.stage, a.Stage), append(l.done, a.Done)
 	}
 	if errors.Is(r.Err(), ErrCorrupt) {
 		return nil, fmt.Errorf("tracefile: %s: %w", path, r.Err())
 	}
 	l.term = r.Err()
-	l.reqID = make([]uint64, len(l.events))
-	l.done = make([]bool, len(l.events))
-	for i := range l.attrs {
-		l.reqID[i] = l.attrs[i].Request
-		l.done[i] = l.attrs[i].Done
-	}
+	l.endInstr = r.Instructions()
 	return l, nil
+}
+
+// attrsAt reassembles the attribution sampled after event i.
+func (l *Loaded) attrsAt(i int) Attrs {
+	return Attrs{
+		Requests: l.requests[i],
+		Type:     l.typ[i],
+		Stage:    l.stage[i],
+		Depth:    l.depth[i],
+		Request:  l.reqID[i],
+		Done:     l.done[i],
+	}
 }
 
 // Meta returns the trace's identity header.
@@ -102,7 +118,7 @@ func (m *MemReader) Next() isa.BlockEvent {
 		return isa.BlockEvent{}
 	}
 	ev := m.l.events[m.pos]
-	m.cur = m.l.attrs[m.pos]
+	m.cur = m.l.attrsAt(m.pos)
 	m.pos++
 	m.instr += uint64(ev.NumInstr)
 	return ev
@@ -128,42 +144,17 @@ func (m *MemReader) Depth() int             { return m.cur.Depth }
 func (m *MemReader) CurrentRequest() uint64 { return m.cur.Request }
 func (m *MemReader) RequestDone() bool      { return m.cur.Done }
 
-// Batch returns the undelivered remainder of the stream as flat
-// parallel slices — the events, each event's request id, and its
-// request-done flip — satisfying sim.BatchSource. The slices alias the
-// Loaded trace and must not be mutated; a consumer that takes the batch
-// view owns the cursor and must not interleave Next calls.
-func (m *MemReader) Batch() (ev []isa.BlockEvent, req []uint64, done []bool) {
-	return m.l.events[m.pos:], m.l.reqID[m.pos:], m.l.done[m.pos:]
-}
-
-// BatchRequests returns what Requests would read after n more events
-// had been delivered through Next — the batch consumer samples it at
-// its pull high-water for digest parity with the interface path.
-func (m *MemReader) BatchRequests(n int) uint64 {
-	i := m.pos + n
-	if i <= 0 {
-		return m.l.startAttrs.Requests
+// Batch hands the undelivered remainder of the stream to a consumer
+// that delivers it itself, satisfying sim.BatchSource: the events, each
+// event's request id and request-done flag, and the Requests count
+// after it, as flat parallel slices aliasing the Loaded trace (they
+// must not be mutated). The cursor moves to the end of the stream, as
+// if Next had run until it returned the zero event, so Instructions,
+// the sampled attributes and Err report the exhausted state.
+func (m *MemReader) Batch() (ev []isa.BlockEvent, req []uint64, done []bool, reqs []uint64) {
+	l, i := m.l, m.pos
+	if n := len(l.events); i < n {
+		m.pos, m.instr, m.cur = n, l.endInstr, l.attrsAt(n-1)
 	}
-	if i > len(m.l.attrs) {
-		i = len(m.l.attrs)
-	}
-	return m.l.attrs[i-1].Requests
-}
-
-// BatchConsume advances the cursor past the first n events of the most
-// recent Batch view, as if Next had been called n times. The batch
-// consumer calls it on exhaustion so Instructions and Err report the
-// same terminal state the interface path would.
-func (m *MemReader) BatchConsume(n int) {
-	end := m.pos + n
-	if end > len(m.l.events) {
-		end = len(m.l.events)
-	}
-	for ; m.pos < end; m.pos++ {
-		m.instr += uint64(m.l.events[m.pos].NumInstr)
-	}
-	if m.pos > 0 {
-		m.cur = m.l.attrs[m.pos-1]
-	}
+	return l.events[i:], l.reqID[i:], l.done[i:], l.requests[i:]
 }

@@ -319,17 +319,8 @@ type Recorder struct {
 	w   *Writer
 }
 
-// NewRecorder tees src to w (sampling src's pre-stream state — call it
-// before any Next on src).
-func NewRecorder(src Source, w io.Writer, meta Meta, opt Options) (*Recorder, error) {
-	tw, err := NewWriter(w, meta, sample(src), opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Recorder{src: src, w: tw}, nil
-}
-
-// RecordTo tees src to a new trace file at path.
+// RecordTo tees src to a new trace file at path (sampling src's
+// pre-stream state — call it before any Next on src).
 func RecordTo(path string, src Source, meta Meta, opt Options) (*Recorder, error) {
 	tw, err := Create(path, meta, sample(src), opt)
 	if err != nil {
