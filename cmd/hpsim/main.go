@@ -78,14 +78,9 @@ func main() {
 		for _, w := range hprefetch.AllWorkloads() {
 			fmt.Println("  " + w)
 		}
-		names := make([]string, 0, len(hprefetch.AllSchemes()))
-		for _, s := range hprefetch.AllSchemes() {
-			names = append(names, string(s))
-		}
-		sort.Strings(names)
 		fmt.Println("schemes:")
-		for _, s := range names {
-			fmt.Println("  " + s)
+		for _, s := range hprefetch.AllSchemes() {
+			fmt.Println("  " + string(s))
 		}
 		ids := append([]string{}, hprefetch.ExperimentIDs()...)
 		sort.Strings(ids)

@@ -181,7 +181,8 @@ func ParseSpec(s string) (Config, error) {
 	}
 	if len(parts) >= 2 && parts[1] != "" {
 		r, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || r < 0 || r > 1 {
+		// Written so that NaN, which fails every comparison, is rejected.
+		if err != nil || !(r >= 0 && r <= 1) {
 			return Config{}, fmt.Errorf("fault: bad rate %q (want 0..1)", parts[1])
 		}
 		cfg.Rate = r

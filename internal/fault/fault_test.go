@@ -158,27 +158,35 @@ func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		in   string
 		want Config
-		err  bool
+		err  string // substring of the expected error; "" = accepted
 	}{
-		{"", Config{}, false},
-		{"none", Config{}, false},
-		{"prefetch-drop", Config{Class: ClassPrefetchDrop}, false},
-		{"latency-jitter:0.4", Config{Class: ClassLatencyJitter, Rate: 0.4}, false},
-		{"tag-flip:0.001:99", Config{Class: ClassTagFlip, Rate: 0.001, Seed: 99}, false},
-		{"bundle-corrupt::7", Config{Class: ClassBundleCorrupt, Seed: 7}, false},
-		{"bogus", Config{}, true},
-		{"tag-flip:2", Config{}, true},
-		{"tag-flip:0.1:x", Config{}, true},
-		{"tag-flip:0.1:1:extra", Config{}, true},
+		{"", Config{}, ""},
+		{"none", Config{}, ""},
+		{"prefetch-drop", Config{Class: ClassPrefetchDrop}, ""},
+		{"latency-jitter:0.4", Config{Class: ClassLatencyJitter, Rate: 0.4}, ""},
+		{"tag-flip:0.001:99", Config{Class: ClassTagFlip, Rate: 0.001, Seed: 99}, ""},
+		{"bundle-corrupt::7", Config{Class: ClassBundleCorrupt, Seed: 7}, ""},
+		{"bogus", Config{}, "unknown class"},
+		{"tag-flip:2", Config{}, "bad rate"},
+		{"tag-flip:-0.5", Config{}, "bad rate"},
+		{"tag-flip:NaN", Config{}, "bad rate"},
+		{"tag-flip:nan:3", Config{}, "bad rate"},
+		{"tag-flip:Inf", Config{}, "bad rate"},
+		{"tag-flip:+Inf", Config{}, "bad rate"},
+		{"tag-flip:-Inf", Config{}, "bad rate"},
+		{"tag-flip:0.1:x", Config{}, "bad seed"},
+		{"tag-flip:0.1:1:extra", Config{}, "malformed spec"},
 	}
 	for _, c := range cases {
 		got, err := ParseSpec(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("ParseSpec(%q) err=%v, want err=%v", c.in, err, c.err)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("ParseSpec(%q) = %+v, %v; want an error containing %q", c.in, got, err, c.err)
+			}
 			continue
 		}
-		if !c.err && got != c.want {
-			t.Errorf("ParseSpec(%q) = %+v, want %+v", c.in, got, c.want)
+		if err != nil || got != c.want {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
 		}
 	}
 	for _, c := range Classes() {

@@ -173,7 +173,18 @@ func New(cfg Config) (*Coordinator, error) {
 				return nil, fmt.Errorf("fleet: journal %s holds a pending %q job (%s); it belongs to an hpserved instance, not a coordinator",
 					cfg.JournalPath, rj.Kind, rj.ID)
 			}
-			spec := specFromRequest(rj.Req)
+			var spec SweepSpec
+			err := service.DecodeRequest(rj.Req, &spec)
+			if err == nil {
+				err = spec.Validate()
+			}
+			if err != nil {
+				// The journaled spec no longer decodes or validates (a
+				// field from a newer build, a renamed workload): fail the
+				// sweep terminally, and journal that so it never replays.
+				c.failReplayed(rj.ID, fmt.Sprintf("journal replay: %v", err))
+				continue
+			}
 			sw := c.newSweep(rj.ID, spec, rj.Assignments)
 			c.metrics.SweepsReplayed.Add(1)
 			c.startSweep(sw)
@@ -267,7 +278,7 @@ func (c *Coordinator) Submit(spec SweepSpec) (*Sweep, error) {
 	id := fmt.Sprintf("swp-%06d", c.nextID.Add(1))
 	spec = spec.withDefaults()
 	if c.journal != nil {
-		if err := c.journal.AppendSubmit(id, "sweep", spec.specRequest()); err != nil {
+		if err := c.journal.AppendSubmit(id, "sweep", spec); err != nil {
 			c.metrics.JournalErrors.Add(1)
 			return nil, fmt.Errorf("fleet: journal append: %w", err)
 		}
@@ -276,6 +287,22 @@ func (c *Coordinator) Submit(spec SweepSpec) (*Sweep, error) {
 	c.metrics.SweepsAccepted.Add(1)
 	c.startSweep(sw)
 	return sw, nil
+}
+
+// failReplayed registers a journaled sweep that cannot be re-admitted
+// as terminally failed, and journals the failure.
+func (c *Coordinator) failReplayed(id, msg string) {
+	sw := &Sweep{ID: id, state: service.JobFailed, errMsg: msg,
+		submitted: time.Now(), finished: time.Now(), done: make(chan struct{})}
+	close(sw.done)
+	c.mu.Lock()
+	c.sweeps[id] = sw
+	c.order = append(c.order, id)
+	c.mu.Unlock()
+	c.metrics.SweepsFailed.Add(1)
+	if err := c.journal.AppendFinish(id, service.JobFailed, msg, ""); err != nil {
+		c.metrics.JournalErrors.Add(1)
+	}
 }
 
 // newSweep registers a sweep and its job set. replayAssign carries the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"hprefetch/internal/service"
@@ -51,13 +50,9 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	if len(strings.TrimSpace(string(data))) > 0 {
-		dec := json.NewDecoder(strings.NewReader(string(data)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
-			return
-		}
+	if err := service.DecodeRequest(data, &spec); err != nil {
+		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
+		return
 	}
 	sw, err := c.Submit(spec)
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 )
 
 // SweepSpec names the cross product a sweep simulates: every workload ×
-// every scheme, one job per pair.
+// every scheme, one job per pair. It is also the sweep's journal form:
+// the coordinator journals its JSON encoding and decodes it back on
+// replay.
 type SweepSpec struct {
 	// Workloads to sweep (empty = all).
 	Workloads []string `json:"workloads,omitempty"`
@@ -59,14 +61,10 @@ func (sp SweepSpec) Validate() error {
 		}
 		seenW[w] = true
 	}
-	valid := map[string]bool{}
-	for _, sc := range harness.AllSchemes() {
-		valid[string(sc)] = true
-	}
 	seenS := map[string]bool{}
 	for _, sc := range sp.Schemes {
-		if !valid[sc] {
-			return fmt.Errorf("unknown scheme %q (known: %s)", sc, harness.SchemeNames())
+		if _, err := harness.ParseScheme(sc); err != nil {
+			return err
 		}
 		if seenS[sc] {
 			return fmt.Errorf("duplicate scheme %q in sweep", sc)
@@ -104,25 +102,6 @@ func SplitKey(key string) (workload, scheme string, err error) {
 	return key[:i], key[i+1:], nil
 }
 
-// runConfig resolves the spec into the harness configuration — the SAME
-// resolution hpserved performs for a RunRequest carrying these fields,
-// so a local run and a fleet run simulate identical machines.
-func (sp SweepSpec) runConfig() harness.RunConfig {
-	rc := harness.DefaultRunConfig()
-	if sp.Quick {
-		rc = harness.QuickRunConfig()
-		rc.Workloads = nil
-	}
-	if sp.WarmInstr > 0 {
-		rc.WarmInstr = sp.WarmInstr
-	}
-	if sp.MeasureInstr > 0 {
-		rc.MeasureInstr = sp.MeasureInstr
-	}
-	rc.CorpusDir = sp.CorpusDir
-	return rc
-}
-
 // jobRequest is the RunRequest a backend receives for one job of this
 // sweep.
 func (sp SweepSpec) jobRequest(workload, scheme string) service.RunRequest {
@@ -135,28 +114,6 @@ func (sp SweepSpec) jobRequest(workload, scheme string) service.RunRequest {
 	}
 }
 
-// specRequest is the journal form of the whole sweep (Kind "sweep").
-func (sp SweepSpec) specRequest() service.RunRequest {
-	return service.RunRequest{
-		Workloads:    sp.Workloads,
-		Schemes:      sp.Schemes,
-		Quick:        sp.Quick,
-		WarmInstr:    sp.WarmInstr,
-		MeasureInstr: sp.MeasureInstr,
-	}
-}
-
-// specFromRequest inverts specRequest for journal replay.
-func specFromRequest(req service.RunRequest) SweepSpec {
-	return SweepSpec{
-		Workloads:    req.Workloads,
-		Schemes:      req.Schemes,
-		Quick:        req.Quick,
-		WarmInstr:    req.WarmInstr,
-		MeasureInstr: req.MeasureInstr,
-	}
-}
-
 // RunLocal executes the whole sweep in-process through the shared
 // harness Runner — the single-node reference a fleet run must match
 // byte for byte. Used by hpsim -sweep and by tests cross-checking
@@ -166,10 +123,17 @@ func RunLocal(ctx context.Context, sp SweepSpec) (*harness.Table, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	rc := sp.runConfig()
 	results := map[string]*service.RunResult{}
 	for _, w := range sp.Workloads {
 		for _, sc := range sp.Schemes {
+			// Resolve the job exactly as a backend resolves the request
+			// it would receive, so local and fleet runs simulate
+			// identical machines.
+			rc, err := service.ResolveRunConfig(sp.jobRequest(w, sc))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", JobKey(w, sc), err)
+			}
+			rc.CorpusDir = sp.CorpusDir
 			res, err := service.ComputeRunResult(ctx, w, sc, rc)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", JobKey(w, sc), err)

@@ -11,6 +11,7 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -65,6 +66,17 @@ func AllSchemes() []Scheme {
 	all := append(Schemes(), SchemePerfect, SchemeGHB, SchemeGHBTLB)
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	return all
+}
+
+// ParseScheme resolves a scheme name against the registry, naming every
+// known scheme when it is not there.
+func ParseScheme(name string) (Scheme, error) {
+	for _, sc := range AllSchemes() {
+		if string(sc) == name {
+			return sc, nil
+		}
+	}
+	return "", fmt.Errorf("unknown scheme %q (known: %s)", name, SchemeNames())
 }
 
 // SchemeNames renders the sorted registry as a comma-separated string
@@ -221,20 +233,23 @@ type Result struct {
 	Governor *feedback.Summary
 }
 
-// key builds the memoisation key for a run.
-func (rc *RunConfig) key(workload string, scheme Scheme) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%d|%d|%d|%d|%v", workload, scheme,
-		rc.WarmInstr, rc.MeasureInstr, rc.ManaLookahead, rc.EFetchLookahead, rc.TrackBundles)
-	fmt.Fprintf(h, "|%d|%v", rc.PFDegree, rc.Governed)
-	fmt.Fprintf(h, "|%s|%g|%d", rc.Fault.Class, rc.Fault.Rate, rc.Fault.Seed)
-	fmt.Fprintf(h, "|%s|%s|%s|%s", rc.TracePath, rc.TraceDir, rc.RecordPath, rc.CorpusDir)
-	fmt.Fprintf(h, "|%d|%d|%d|%d", rc.Sample.WarmInstr, rc.Sample.MeasureInstr, rc.Sample.SkipInstr, rc.Sample.Seed)
-	fmt.Fprintf(h, "%+v", rc.Params)
-	if rc.HierConfig != nil {
-		fmt.Fprintf(h, "%+v", *rc.HierConfig)
+// key builds the memoisation key for a run: a hash of the pair and the
+// canonical JSON encoding of the whole configuration (pointers
+// followed), so every field of RunConfig is part of the key without
+// being listed here. Ctx bounds the run without shaping its result, and
+// Workloads only selects an experiment's pairs.
+func (rc RunConfig) key(workload string, scheme Scheme) (string, error) {
+	rc.Ctx, rc.Workloads = nil, nil
+	b, err := json.Marshal(struct {
+		Workload string
+		Scheme   Scheme
+		Config   RunConfig
+	}{workload, scheme, rc})
+	if err != nil {
+		return "", fmt.Errorf("harness: %s/%s: run config has no canonical encoding: %w", workload, scheme, err)
 	}
-	return string(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return string(sum[:]), nil
 }
 
 // defaultRunner is the process-wide Runner behind the package-level Run:
@@ -479,7 +494,8 @@ func runOne(ctx context.Context, workload string, scheme Scheme, rc RunConfig) (
 		hier.SetTextBounds(p.TextBase, p.TextBase+isa.Addr(p.TextSize))
 		pf = hier
 	default:
-		return nil, fmt.Errorf("harness: unknown scheme %q (known: %s)", scheme, SchemeNames())
+		_, err := ParseScheme(string(scheme))
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 	var gov *feedback.Governor
 	if rc.Governed {

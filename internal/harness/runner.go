@@ -86,7 +86,10 @@ func NewRunner(maxEntries int) *Runner {
 // cached; errors are returned to every caller that shared the flight.
 func (r *Runner) Run(workload string, scheme Scheme, rc RunConfig) (*Result, error) {
 	ctx := rc.context()
-	k := rc.key(workload, scheme)
+	k, err := rc.key(workload, scheme)
+	if err != nil {
+		return nil, err
+	}
 
 	r.mu.Lock()
 	if el, ok := r.entries[k]; ok {

@@ -31,7 +31,9 @@ func (s JobState) Terminal() bool {
 
 // RunRequest is the wire form of a simulation submission
 // (POST /v1/runs). The zero value of every optional field keeps the
-// harness default.
+// harness default. The journal stores a submission as this struct's
+// JSON encoding and ResolveRunConfig maps it onto the harness, so a new
+// field is declared here and resolved there, nowhere else.
 type RunRequest struct {
 	// Workload and Scheme name the pair to simulate (run jobs only).
 	Workload string `json:"workload,omitempty"`
@@ -59,10 +61,6 @@ type RunRequest struct {
 	// <workload>.hpt files for experiments (workloads without a trace
 	// run live). Validated at submission; incompatible with Fault.
 	TracePath string `json:"trace_path,omitempty"`
-	// Schemes is the scheme axis of a fleet sweep (coordinator jobs
-	// only). Plain run/experiment submissions must leave it empty — a
-	// single hpserved names one scheme via Scheme.
-	Schemes []string `json:"schemes,omitempty"`
 	// Sample enables interval-sampled simulation instead of exact
 	// measurement, as "warm,measure,skip[,seed]" in instructions (see
 	// the harness sampling docs). Validated at submission; empty runs
@@ -288,15 +286,17 @@ func (j *Job) retryReset(cause string, backoff time.Duration) bool {
 }
 
 // finish moves the job to a terminal state, reporting whether this call
-// performed the transition (false when already terminal — callers use
-// that to count each outcome exactly once).
-func (j *Job) finish(state JobState, errMsg string) bool {
+// performed the transition (false when already terminal). The call that
+// performs it runs record (when non-nil) before done closes, so each
+// outcome is recorded exactly once and a poller that sees the job
+// terminal also sees its metrics.
+func (j *Job) finish(state JobState, errMsg string, record func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishLocked(state, errMsg)
+	return j.finishLocked(state, errMsg, record)
 }
 
-func (j *Job) finishLocked(state JobState, errMsg string) bool {
+func (j *Job) finishLocked(state JobState, errMsg string, record func()) bool {
 	if j.state.Terminal() {
 		return false
 	}
@@ -304,6 +304,9 @@ func (j *Job) finishLocked(state JobState, errMsg string) bool {
 	j.err = errMsg
 	j.finished = time.Now()
 	j.cancel = nil
+	if record != nil {
+		record()
+	}
 	close(j.done)
 	return true
 }
@@ -314,8 +317,8 @@ type cancelOutcome int
 const (
 	// cancelNoop: the job was already terminal.
 	cancelNoop cancelOutcome = iota
-	// cancelledQueued: the job never ran; it is terminal now and the
-	// caller owns the metrics increment.
+	// cancelledQueued: the job never ran; it is terminal now and
+	// recorded.
 	cancelledQueued
 	// cancellingRunning: the running job's context was cancelled; the
 	// worker finishes (and counts) it when the simulator notices.
@@ -323,9 +326,9 @@ const (
 )
 
 // requestCancel asks the job to stop. A queued job goes terminal
-// immediately (its worker will skip it); a running job gets its context
-// cancelled and finishes cooperatively.
-func (j *Job) requestCancel() cancelOutcome {
+// immediately, recorded by record (its worker will skip it); a running
+// job gets its context cancelled and finishes cooperatively.
+func (j *Job) requestCancel(record func()) cancelOutcome {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -333,7 +336,7 @@ func (j *Job) requestCancel() cancelOutcome {
 	}
 	j.cancelRequested = true
 	if j.state == JobQueued {
-		j.finishLocked(JobCanceled, "canceled while queued")
+		j.finishLocked(JobCanceled, "canceled while queued", record)
 		return cancelledQueued
 	}
 	if j.cancel != nil {

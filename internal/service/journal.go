@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -24,11 +25,18 @@ import (
 //	u32 payload length | payload | u32 CRC-32 (IEEE) of payload
 //
 // with the payload encoded by the same overflow-safe little-endian
-// conventions as internal/binfmt (bounds-checked reads, canonical
-// booleans, length prefixes sanity-checked against the remaining
-// input). Decoding stops at the first torn or corrupt record: the valid
-// prefix replays, the tail is discarded — a crash mid-append never
-// poisons startup.
+// conventions as internal/binfmt (bounds-checked reads, length prefixes
+// checked against the remaining input). Decoding stops at the first
+// torn or corrupt record: the valid prefix replays, the tail is
+// discarded — a crash mid-append never poisons startup.
+//
+// A submit record carries the submitter's request as its JSON encoding
+// (the same struct its HTTP API decodes), which the journal stores as
+// opaque bytes: the server decodes it back into a RunRequest on replay,
+// a fleet coordinator into its SweepSpec. A request field added later
+// therefore needs no change here, and a field this build does not know
+// fails that one job by name on replay instead of the record reading
+// as corrupt.
 //
 // Appends are group-committed: concurrent Append calls coalesce into
 // one write + one fsync performed by a dedicated flusher goroutine, and
@@ -39,18 +47,13 @@ import (
 // packed, same style as binfmt.Magic).
 const journalMagic = 0x4850_4A4C_0001_0001
 
-// journalVersion is the current journal format version. v2 added
-// RunRequest.TracePath to submit records; v3 added RunRequest.Schemes
-// (fleet sweep jobs) and the opAssign backend-assignment record; v4
-// added RunRequest.Sample (interval-sampled runs); v5 added
-// RunRequest.NoCorpus (the coordinator's corpus-bypass re-dispatch
-// flag); v6 added RunRequest.PFDegree and RunRequest.Governed (the
-// feedback-throttling subsystem's static-degree override and adaptive
-// flag). Decoding is exact-consumption, so journals from other
-// versions are rejected at startup — with an error naming both
-// versions and the remediation — rather than misread (operators drain
-// or delete the old journal before upgrading).
-const journalVersion = 6
+// journalVersion is the current journal format version. It changes only
+// when the framing or a record's own layout changes — never for a new
+// request field, which rides inside a submit record's JSON body.
+// Journals from other versions are rejected at startup, with an error
+// naming both versions and the remediation, rather than misread
+// (operators drain or delete the old journal before upgrading).
+const journalVersion = 7
 
 const journalHeaderSize = 10
 
@@ -58,7 +61,8 @@ const journalHeaderSize = 10
 type journalOp uint8
 
 const (
-	// opSubmit records a validated, admitted job and its full request.
+	// opSubmit records a validated, admitted job and its full request
+	// (JSON bytes).
 	opSubmit journalOp = 1
 	// opStart records one execution attempt beginning (1-based attempt).
 	opStart journalOp = 2
@@ -83,7 +87,7 @@ type journalRecord struct {
 
 	// opSubmit
 	Kind string
-	Req  RunRequest
+	Req  []byte
 
 	// opStart
 	Attempt uint32
@@ -108,17 +112,9 @@ type jwriter struct{ buf []byte }
 func (w *jwriter) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *jwriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *jwriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *jwriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w *jwriter) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
-}
-func (w *jwriter) boolean(b bool) {
-	if b {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
 }
 
 // jreader decodes with bounds checking; a hostile length prefix cannot
@@ -163,7 +159,6 @@ func (r *jreader) u64() uint64 {
 	r.off += 8
 	return v
 }
-func (r *jreader) i64() int64 { return int64(r.u64()) }
 func (r *jreader) str() string {
 	n := int(r.u32())
 	if !r.need(n) {
@@ -172,27 +167,6 @@ func (r *jreader) str() string {
 	s := string(r.buf[r.off : r.off+n])
 	r.off += n
 	return s
-}
-
-// boolean accepts only canonical 0/1, keeping the encoding strict so
-// every accepted journal re-encodes to identical bytes.
-func (r *jreader) boolean() bool {
-	b := r.u8()
-	if r.err == nil && b > 1 {
-		r.err = fmt.Errorf("journal: invalid boolean byte %#x at offset %d", b, r.off-1)
-	}
-	return b != 0
-}
-
-// count reads a length prefix and sanity-checks it against the bytes
-// remaining, assuming minElem bytes per element.
-func (r *jreader) count(minElem int) int {
-	n := int64(r.u32())
-	if r.err == nil && n*int64(minElem) > int64(len(r.buf)-r.off) {
-		r.err = fmt.Errorf("journal: implausible element count %d at offset %d", n, r.off)
-		return 0
-	}
-	return int(n)
 }
 
 // finishStateCode maps terminal states to their wire codes.
@@ -228,29 +202,7 @@ func encodeJournalPayload(rec journalRecord) ([]byte, error) {
 	switch rec.Op {
 	case opSubmit:
 		w.str(rec.Kind)
-		q := &rec.Req
-		w.str(q.Workload)
-		w.str(q.Scheme)
-		w.str(q.Experiment)
-		w.u64(q.WarmInstr)
-		w.u64(q.MeasureInstr)
-		w.u32(uint32(len(q.Workloads)))
-		for _, wl := range q.Workloads {
-			w.str(wl)
-		}
-		w.boolean(q.Quick)
-		w.str(q.Fault)
-		w.i64(q.TimeoutMS)
-		w.i64(int64(q.MaxRetries))
-		w.str(q.TracePath)
-		w.u32(uint32(len(q.Schemes)))
-		for _, sc := range q.Schemes {
-			w.str(sc)
-		}
-		w.str(q.Sample)
-		w.boolean(q.NoCorpus)
-		w.i64(int64(q.PFDegree))
-		w.boolean(q.Governed)
+		w.str(string(rec.Req))
 	case opStart:
 		w.u32(rec.Attempt)
 	case opFinish:
@@ -281,35 +233,7 @@ func decodeJournalPayload(payload []byte) (journalRecord, error) {
 	switch rec.Op {
 	case opSubmit:
 		rec.Kind = r.str()
-		q := &rec.Req
-		q.Workload = r.str()
-		q.Scheme = r.str()
-		q.Experiment = r.str()
-		q.WarmInstr = r.u64()
-		q.MeasureInstr = r.u64()
-		n := r.count(4)
-		if n > 0 {
-			q.Workloads = make([]string, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				q.Workloads = append(q.Workloads, r.str())
-			}
-		}
-		q.Quick = r.boolean()
-		q.Fault = r.str()
-		q.TimeoutMS = r.i64()
-		q.MaxRetries = int(r.i64())
-		q.TracePath = r.str()
-		ns := r.count(4)
-		if ns > 0 {
-			q.Schemes = make([]string, 0, ns)
-			for i := 0; i < ns && r.err == nil; i++ {
-				q.Schemes = append(q.Schemes, r.str())
-			}
-		}
-		q.Sample = r.str()
-		q.NoCorpus = r.boolean()
-		q.PFDegree = int(r.i64())
-		q.Governed = r.boolean()
+		rec.Req = []byte(r.str())
 	case opStart:
 		rec.Attempt = r.u32()
 	case opFinish:
@@ -415,7 +339,9 @@ func decodeJournal(data []byte) ([]journalRecord, int, error) {
 type ReplayJob struct {
 	ID   string
 	Kind string
-	Req  RunRequest
+	// Req is the submitted request's JSON encoding, as journaled; the
+	// re-admitting side decodes it into its own request type.
+	Req []byte
 	// Attempts is the highest attempt number journaled; >0 means the job
 	// was in flight (orphaned) when the process died.
 	Attempts int
@@ -664,9 +590,14 @@ func (jl *Journal) flusher() {
 // drive the same write-ahead log the server uses, without exposing the
 // wire-level record type.
 
-// AppendSubmit journals an admitted job and its full request.
-func (jl *Journal) AppendSubmit(id, kind string, req RunRequest) error {
-	return jl.Append(journalRecord{Op: opSubmit, ID: id, Kind: kind, Req: req})
+// AppendSubmit journals an admitted job and its full request, stored as
+// the request's JSON encoding.
+func (jl *Journal) AppendSubmit(id, kind string, req any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("journal: encoding %s request: %w", id, err)
+	}
+	return jl.Append(journalRecord{Op: opSubmit, ID: id, Kind: kind, Req: body})
 }
 
 // AppendStart journals one execution attempt beginning (1-based).

@@ -2,30 +2,45 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"hprefetch/internal/harness"
 )
 
-// sampleRecords is a representative record mix covering every op and
-// every RunRequest field.
+// reqBody is a submit record's request body: the request's JSON
+// encoding.
+func reqBody(req any) []byte {
+	b, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// sampleRecords is a representative record mix covering every op.
 func sampleRecords() []journalRecord {
 	return []journalRecord{
 		{Op: opSeq, Seq: 41},
-		{Op: opSubmit, ID: "job-000042", Kind: "run", Req: RunRequest{
+		{Op: opSubmit, ID: "job-000042", Kind: "run", Req: reqBody(RunRequest{
 			Workload: "gin", Scheme: "Hierarchical",
 			WarmInstr: 1000, MeasureInstr: 2000,
 			Quick: true, Fault: "tag-flip:0.001:7", TimeoutMS: 5000, MaxRetries: 3,
 			TracePath: "/var/traces/gin.hpt",
-			Schemes:   []string{"FDIP", "Hierarchical"},
-		}},
+		})},
 		{Op: opStart, ID: "job-000042", Attempt: 1},
-		{Op: opSubmit, ID: "job-000043", Kind: "experiment", Req: RunRequest{
-			Experiment: "fig9", Workloads: []string{"gin", "etcd"},
-		}},
+		{Op: opSubmit, ID: "job-000043", Kind: "experiment", Req: reqBody(RunRequest{
+			Experiment: "fig9", Workloads: []string{"gin", "echo"},
+		})},
 		{Op: opStart, ID: "job-000042", Attempt: 2},
 		{Op: opAssign, ID: "job-000043", Key: "gin/FDIP", Backend: "http://127.0.0.1:19001"},
 		{Op: opFinish, ID: "job-000042", State: JobDone, Digest: "fnv1a64:dead"},
@@ -61,17 +76,10 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 	for i := range recs {
 		a, b := recs[i], got[i]
-		if a.Op != b.Op || a.ID != b.ID || a.Kind != b.Kind || a.Attempt != b.Attempt ||
-			a.State != b.State || a.ErrMsg != b.ErrMsg || a.Digest != b.Digest || a.Seq != b.Seq ||
-			a.Key != b.Key || a.Backend != b.Backend {
+		if a.Op != b.Op || a.ID != b.ID || a.Kind != b.Kind || !bytes.Equal(a.Req, b.Req) ||
+			a.Attempt != b.Attempt || a.State != b.State || a.ErrMsg != b.ErrMsg ||
+			a.Digest != b.Digest || a.Seq != b.Seq || a.Key != b.Key || a.Backend != b.Backend {
 			t.Fatalf("record %d: %+v != %+v", i, a, b)
-		}
-		if a.Op == opSubmit {
-			ae, _ := encodeJournalPayload(a)
-			be, _ := encodeJournalPayload(b)
-			if !bytes.Equal(ae, be) {
-				t.Fatalf("record %d request drifted through the codec", i)
-			}
 		}
 	}
 }
@@ -198,8 +206,8 @@ func TestPendingFromRecords(t *testing.T) {
 	// Order independence: a finish before its submit still terminates.
 	shuffled := []journalRecord{
 		{Op: opFinish, ID: "job-000001", State: JobCanceled},
-		{Op: opSubmit, ID: "job-000001", Kind: "run", Req: RunRequest{Workload: "gin"}},
-		{Op: opSubmit, ID: "job-000002", Kind: "run", Req: RunRequest{Workload: "gin"}},
+		{Op: opSubmit, ID: "job-000001", Kind: "run", Req: reqBody(RunRequest{Workload: "gin"})},
+		{Op: opSubmit, ID: "job-000002", Kind: "run", Req: reqBody(RunRequest{Workload: "gin"})},
 	}
 	pending, maxSeq = pendingFromRecords(shuffled)
 	if len(pending) != 1 || pending[0].ID != "job-000002" || maxSeq != 2 {
@@ -278,8 +286,7 @@ func TestJournalTornTailOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.Append(journalRecord{Op: opSubmit, ID: "job-000001", Kind: "run",
-		Req: RunRequest{Workload: "gin", Scheme: "FDIP"}}); err != nil {
+	if err := jl.AppendSubmit("job-000001", "run", RunRequest{Workload: "gin", Scheme: "FDIP"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.Close(); err != nil {
@@ -352,4 +359,99 @@ func FuzzJournalDecode(f *testing.F) {
 		// The fold must tolerate any accepted record sequence.
 		pendingFromRecords(recs)
 	})
+}
+
+// TestReplayUnknownFieldFailsJob: a journaled submit naming a request
+// field this build does not know (written by a newer build) becomes a
+// terminally failed job whose error names the field. It is not a torn
+// tail: the records after it still replay, and the failure is journaled
+// so the job never replays again.
+func TestReplayUnknownFieldFailsJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	jl, _, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := []byte(`{"workload":"gin","scheme":"FDIP","warm_instr":50000,"measure_instr":100000,"future_knob":3}`)
+	if err := jl.Append(journalRecord{Op: opSubmit, ID: "job-000001", Kind: "run", Req: future}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.AppendSubmit("job-000002", "run", tinyRun("FDIP")); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, JournalPath: path})
+	dead := await(t, ts, "job-000001", time.Minute)
+	if dead.State != JobFailed || !strings.Contains(dead.Error, "future_knob") {
+		t.Fatalf("unknown-field job: %s %q, want failed naming future_knob", dead.State, dead.Error)
+	}
+	if v := await(t, ts, "job-000002", 2*time.Minute); v.State != JobDone {
+		t.Fatalf("job after the unknown-field record: %s (%s)", v.State, v.Error)
+	}
+	if got := s.Metrics().Failed.Load(); got != 1 {
+		t.Fatalf("failed %d, want 1", got)
+	}
+	if got := s.Metrics().Replayed.Load(); got != 1 {
+		t.Fatalf("replayed %d, want 1", got)
+	}
+	if journalPending(t, path)["job-000001"] {
+		t.Fatal("the failed unknown-field job is still pending in the journal")
+	}
+}
+
+// TestOutcomeCountedBeforeDone pins the metrics/visibility order: a
+// poller that sees a job's done channel closed must already see the
+// outcome counted, and a completed job's latency observed. The test
+// holds the journal's lock, so the settling goroutine stalls at its
+// first journal append after the transition; a metric recorded after
+// that append would still read one short here.
+func TestOutcomeCountedBeforeDone(t *testing.T) {
+	s, err := New(Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "jobs.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	outcomes := []struct {
+		err     error
+		counter *atomic.Uint64
+	}{
+		{nil, &s.metrics.Completed},
+		{errors.New("permanent failure"), &s.metrics.Failed},
+		{context.Canceled, &s.metrics.Canceled},
+	}
+	observed := func() uint64 {
+		s.metrics.mu.Lock()
+		defer s.metrics.mu.Unlock()
+		if h := s.metrics.hist["FDIP"]; h != nil {
+			return h.total
+		}
+		return 0
+	}
+	for i := 0; i < 90; i++ {
+		o := outcomes[i%len(outcomes)]
+		j := s.newJob("run", tinyRun("FDIP"), harness.RunConfig{}, time.Minute)
+		if _, ok := j.begin(func() {}); !ok {
+			t.Fatal("job did not start")
+		}
+		before, latBefore := o.counter.Load(), observed()
+		s.journal.mu.Lock()
+		settled := make(chan struct{})
+		go func() {
+			defer close(settled)
+			s.settle(j, o.err, time.Now())
+		}()
+		<-j.Done()
+		got, lat := o.counter.Load(), observed()
+		s.journal.mu.Unlock()
+		<-settled
+		if got != before+1 {
+			t.Fatalf("job %d (%s): counter %d when done closed, want %d", i, j.State(), got, before+1)
+		}
+		if o.err == nil && lat != latBefore+1 {
+			t.Fatalf("job %d done: %d latency observations when done closed, want %d", i, lat, latBefore+1)
+		}
+	}
 }

@@ -94,6 +94,11 @@ func NewMetrics() *Metrics {
 	return &Metrics{hist: map[string]*histogram{}}
 }
 
+// count returns a Job.finish record hook that bumps c.
+func count(c *atomic.Uint64) func() {
+	return func() { c.Add(1) }
+}
+
 // ObserveLatency records a completed job's execution latency.
 func (m *Metrics) ObserveLatency(label string, ms float64) {
 	m.mu.Lock()

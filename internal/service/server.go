@@ -27,6 +27,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -207,18 +208,18 @@ func New(cfg Config) (*Server, error) {
 		for _, rj := range pending {
 			j, err := s.jobFromReplay(rj)
 			if err != nil {
-				// The journaled request no longer validates (workload
-				// renamed, scheme removed): fail it terminally — and
-				// journal that, so it never replays again.
+				// The journaled request no longer decodes or validates
+				// (a field from a newer build, a renamed workload, a
+				// removed scheme): fail it terminally — and journal
+				// that, so it never replays again.
 				dead := &Job{
-					ID: rj.ID, Kind: rj.Kind, Req: rj.Req,
+					ID: rj.ID, Kind: rj.Kind,
 					state: JobQueued, attempts: rj.Attempts,
 					submitted: time.Now(), done: make(chan struct{}),
 				}
-				dead.finish(JobFailed, fmt.Sprintf("journal replay: %v", err))
+				dead.finish(JobFailed, fmt.Sprintf("journal replay: %v", err), count(&s.metrics.Failed))
 				s.store.put(dead)
 				s.journalFinish(dead)
-				s.metrics.Failed.Add(1)
 				continue
 			}
 			s.store.put(j)
@@ -249,36 +250,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// jobFromReplay revalidates a journaled pending job and rebuilds its
+// jobFromReplay decodes and revalidates a journaled pending job exactly
+// as a fresh submission of the same body would be, and rebuilds its
 // executable form (the harness config is derived state, not journaled).
 func (s *Server) jobFromReplay(rj ReplayJob) (*Job, error) {
-	req := rj.Req
-	switch rj.Kind {
-	case "run":
-		if req.Workload == "" {
-			return nil, fmt.Errorf("run job without workload")
-		}
-		if _, err := workloads.Get(req.Workload); err != nil {
-			return nil, err
-		}
-		if req.Scheme == "" {
-			req.Scheme = string(harness.SchemeHier)
-		}
-		if !validSchemes()[req.Scheme] {
-			return nil, fmt.Errorf("unknown scheme %q (known: %s)", req.Scheme, harness.SchemeNames())
-		}
-	case "experiment":
-		if !experimentKnown(req.Experiment) {
-			return nil, fmt.Errorf("unknown experiment %q", req.Experiment)
-		}
-	default:
-		return nil, fmt.Errorf("unknown job kind %q", rj.Kind)
+	var req RunRequest
+	if err := DecodeRequest(rj.Req, &req); err != nil {
+		return nil, err
 	}
-	rc, timeout, err := s.buildRunConfig(&req)
+	j, err := s.prepareJob(rj.Kind, req)
 	if err != nil {
 		return nil, err
 	}
-	j := s.newJob(rj.Kind, req, rc, timeout)
 	j.ID = rj.ID
 	j.attempts = rj.Attempts
 	return j, nil
@@ -301,9 +284,7 @@ func (s *Server) Close() {
 		// right here.
 		for _, v := range s.store.list() {
 			if j, ok := s.store.get(v.ID); ok {
-				if j.requestCancel() == cancelledQueued {
-					s.metrics.Canceled.Add(1)
-				}
+				j.requestCancel(count(&s.metrics.Canceled))
 			}
 		}
 	})
@@ -313,9 +294,7 @@ func (s *Server) Close() {
 	for {
 		select {
 		case j := <-s.queue:
-			if j.finish(JobCanceled, "server closed") {
-				s.metrics.Canceled.Add(1)
-			}
+			j.finish(JobCanceled, "server closed", count(&s.metrics.Canceled))
 		default:
 			if s.journal != nil {
 				s.journal.Close() //nolint:errcheck // sticky error already counted
@@ -387,21 +366,23 @@ func (s *Server) execute(j *Job, started time.Time) {
 
 // settle decides a finished attempt's fate: success, cooperative
 // cancellation, a retry (transient error with budget left), or terminal
-// failure. Exactly one terminal metrics increment happens per job.
+// failure. Each job's terminal metrics are recorded exactly once, before
+// its done channel closes.
 func (s *Server) settle(j *Job, err error, started time.Time) {
 	switch {
 	case err == nil:
-		if j.finish(JobDone, "") {
-			s.journalFinish(j)
+		ms := float64(time.Since(started).Microseconds()) / 1000
+		if j.finish(JobDone, "", func() {
 			s.metrics.Completed.Add(1)
+			s.metrics.ObserveLatency(j.latencyLabel(), ms)
+		}) {
+			s.journalFinish(j)
 			s.breaker.Record(false)
-			s.metrics.ObserveLatency(j.latencyLabel(), float64(time.Since(started).Microseconds())/1000)
 		}
 		return
 	case errors.Is(err, context.Canceled):
-		if j.finish(JobCanceled, err.Error()) {
+		if j.finish(JobCanceled, err.Error(), count(&s.metrics.Canceled)) {
 			s.journalFinish(j)
-			s.metrics.Canceled.Add(1)
 		}
 		return
 	}
@@ -412,9 +393,8 @@ func (s *Server) settle(j *Job, err error, started time.Time) {
 			return
 		}
 	}
-	if j.finish(JobFailed, err.Error()) {
+	if j.finish(JobFailed, err.Error(), count(&s.metrics.Failed)) {
 		s.journalFinish(j)
-		s.metrics.Failed.Add(1)
 		s.breaker.Record(true)
 	}
 }
@@ -438,9 +418,7 @@ func (s *Server) scheduleRetry(j *Job, cause error) bool {
 			// Shutdown during backoff: leave the job queued (pending in
 			// the journal) so a restart replays it; Close's sweep has
 			// already run, so cancel it here for this process's books.
-			if j.finish(JobCanceled, "server closed during retry backoff") {
-				s.metrics.Canceled.Add(1)
-			}
+			j.finish(JobCanceled, "server closed during retry backoff", count(&s.metrics.Canceled))
 		case <-j.Done():
 			// Cancelled during backoff; nothing to enqueue.
 		}
@@ -451,9 +429,7 @@ func (s *Server) scheduleRetry(j *Job, cause error) bool {
 		select {
 		case <-s.closed:
 			if timer.Stop() {
-				if j.finish(JobCanceled, "server closed during retry backoff") {
-					s.metrics.Canceled.Add(1)
-				}
+				j.finish(JobCanceled, "server closed during retry backoff", count(&s.metrics.Canceled))
 			}
 		case <-j.Done():
 			timer.Stop()
@@ -486,7 +462,7 @@ func (s *Server) journalSubmit(j *Job) error {
 	if s.journal == nil {
 		return nil
 	}
-	return s.journal.Append(journalRecord{Op: opSubmit, ID: j.ID, Kind: j.Kind, Req: j.Req})
+	return s.journal.AppendSubmit(j.ID, j.Kind, j.Req)
 }
 
 // journalStart records an execution attempt beginning (best effort: a
@@ -644,23 +620,12 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// validSchemes is the accepted Scheme set — the harness registry, so a
-// scheme added there is immediately servable.
-func validSchemes() map[string]bool {
-	out := map[string]bool{}
-	for _, sc := range harness.AllSchemes() {
-		out[string(sc)] = true
-	}
-	return out
-}
-
-// buildRunConfig validates req and resolves it into a harness
-// configuration plus the job deadline.
-func (s *Server) buildRunConfig(req *RunRequest) (harness.RunConfig, time.Duration, error) {
+// ResolveRunConfig resolves a request's run knobs into the harness
+// configuration: the one place a RunRequest field becomes a RunConfig
+// field. Deployment parts — a server's corpus directory, its deadline
+// clamp — are the caller's to add.
+func ResolveRunConfig(req RunRequest) (harness.RunConfig, error) {
 	rc := harness.DefaultRunConfig()
-	if len(req.Schemes) > 0 {
-		return rc, 0, fmt.Errorf("schemes is a fleet-coordinator sweep field; a single server takes one scheme per run")
-	}
 	if req.Quick {
 		rc = harness.QuickRunConfig()
 		rc.Workloads = nil // Quick trims run length; workloads stay explicit
@@ -674,7 +639,7 @@ func (s *Server) buildRunConfig(req *RunRequest) (harness.RunConfig, time.Durati
 	if len(req.Workloads) > 0 {
 		for _, w := range req.Workloads {
 			if _, err := workloads.Get(w); err != nil {
-				return rc, 0, err
+				return rc, err
 			}
 		}
 		rc.Workloads = req.Workloads
@@ -682,25 +647,25 @@ func (s *Server) buildRunConfig(req *RunRequest) (harness.RunConfig, time.Durati
 	if req.Fault != "" {
 		cfg, err := fault.ParseSpec(req.Fault)
 		if err != nil {
-			return rc, 0, err
+			return rc, err
 		}
 		rc.Fault = cfg
 	}
 	if req.TracePath != "" {
 		if req.Fault != "" {
-			return rc, 0, fmt.Errorf("trace_path cannot be combined with fault injection")
+			return rc, fmt.Errorf("trace_path cannot be combined with fault injection")
 		}
 		st, err := os.Stat(req.TracePath)
 		switch {
 		case err != nil:
-			return rc, 0, fmt.Errorf("trace_path: %w", err)
+			return rc, fmt.Errorf("trace_path: %w", err)
 		case st.IsDir():
 			rc.TraceDir = req.TracePath
 		default:
 			// Validate the file up front so a corrupt or foreign trace is
 			// rejected at submission, not buried in a failed job.
 			if _, err := tracefile.Stat(req.TracePath); err != nil {
-				return rc, 0, fmt.Errorf("trace_path: %w", err)
+				return rc, fmt.Errorf("trace_path: %w", err)
 			}
 			rc.TracePath = req.TracePath
 		}
@@ -708,15 +673,56 @@ func (s *Server) buildRunConfig(req *RunRequest) (harness.RunConfig, time.Durati
 	if req.Sample != "" {
 		sp, err := harness.ParseSampleSpec(req.Sample)
 		if err != nil {
-			return rc, 0, fmt.Errorf("sample: %w", err)
+			return rc, fmt.Errorf("sample: %w", err)
 		}
 		rc.Sample = sp
 	}
 	if req.PFDegree < 0 {
-		return rc, 0, fmt.Errorf("pf_degree must be non-negative, got %d", req.PFDegree)
+		return rc, fmt.Errorf("pf_degree must be non-negative, got %d", req.PFDegree)
 	}
 	rc.PFDegree = req.PFDegree
 	rc.Governed = req.Governed
+	return rc, nil
+}
+
+// validateRun checks a run job's (workload, scheme) pair, defaulting the
+// scheme to Hierarchical.
+func validateRun(req *RunRequest) error {
+	if req.Workload == "" {
+		return fmt.Errorf("workload is required (one of %s)", strings.Join(workloads.AllSorted(), ", "))
+	}
+	if _, err := workloads.Get(req.Workload); err != nil {
+		return err
+	}
+	if req.Scheme == "" {
+		req.Scheme = string(harness.SchemeHier)
+	}
+	_, err := harness.ParseScheme(req.Scheme)
+	return err
+}
+
+// prepareJob validates a request of the given kind and resolves it into
+// a runnable job: the one admission check shared by HTTP submissions and
+// journal replay. On top of ResolveRunConfig it adds this server's
+// corpus directory and clamps the deadline.
+func (s *Server) prepareJob(kind string, req RunRequest) (*Job, error) {
+	switch kind {
+	case "run":
+		if err := validateRun(&req); err != nil {
+			return nil, err
+		}
+	case "experiment":
+		if !experimentKnown(req.Experiment) {
+			return nil, fmt.Errorf("unknown experiment %q (one of %s)",
+				req.Experiment, strings.Join(harness.ExperimentIDs(), ", "))
+		}
+	default:
+		return nil, fmt.Errorf("unknown job kind %q", kind)
+	}
+	rc, err := ResolveRunConfig(req)
+	if err != nil {
+		return nil, err
+	}
 	if s.cfg.CorpusDir != "" && !req.NoCorpus {
 		// Corpus resolution is a fallback, not an override: an explicit
 		// trace_path wins, and the harness skips the corpus for faulted
@@ -730,7 +736,7 @@ func (s *Server) buildRunConfig(req *RunRequest) (harness.RunConfig, time.Durati
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
-	return rc, timeout, nil
+	return s.newJob(kind, req, rc, timeout), nil
 }
 
 // submit admits a validated job to the queue, or sheds it: 503 when
@@ -769,8 +775,9 @@ func (s *Server) submit(w http.ResponseWriter, j *Job) {
 		writeJSON(w, http.StatusAccepted, j.View())
 	default:
 		// Lost the race for the last slot after the submit record landed;
-		// journal the rejection so the id never replays.
-		j.finish(JobFailed, "queue full at admission")
+		// journal the rejection so the id never replays (counted as
+		// rejected, not failed).
+		j.finish(JobFailed, "queue full at admission", nil)
 		s.journalFinish(j)
 		s.shedQueueFull(w)
 	}
@@ -835,28 +842,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Workload == "" {
-		writeError(w, http.StatusBadRequest, "workload is required (one of %s)",
-			strings.Join(workloads.AllSorted(), ", "))
-		return
-	}
-	if _, err := workloads.Get(req.Workload); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Scheme == "" {
-		req.Scheme = string(harness.SchemeHier)
-	}
-	if !validSchemes()[req.Scheme] {
-		writeError(w, http.StatusBadRequest, "unknown scheme %q (known: %s)", req.Scheme, harness.SchemeNames())
-		return
-	}
-	rc, timeout, err := s.buildRunConfig(&req)
+	j, err := s.prepareJob("run", req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.submit(w, s.newJob("run", req, rc, timeout))
+	s.submit(w, j)
 }
 
 func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
@@ -873,12 +864,12 @@ func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) 
 	}
 	req.Experiment = id
 	req.Workload, req.Scheme = "", "" // experiment jobs name no single pair
-	rc, timeout, err := s.buildRunConfig(&req)
+	j, err := s.prepareJob("experiment", req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.submit(w, s.newJob("experiment", req, rc, timeout))
+	s.submit(w, j)
 }
 
 // newJob allocates a Job with the next id and its resolved retry budget.
@@ -941,12 +932,11 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	switch j.requestCancel() {
+	switch j.requestCancel(count(&s.metrics.Canceled)) {
 	case cancelNoop:
 		writeJSON(w, http.StatusConflict, j.View())
 	case cancelledQueued:
 		s.journalFinish(j)
-		s.metrics.Canceled.Add(1)
 		writeJSON(w, http.StatusAccepted, j.View())
 	case cancellingRunning:
 		writeJSON(w, http.StatusAccepted, j.View())
@@ -978,17 +968,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, snap.Prometheus()) //nolint:errcheck // client went away
 }
 
-// decodeBody parses an optional JSON body (empty bodies are fine) and
-// rejects unknown fields so typos fail loudly.
+// decodeBody reads an optional JSON request body and decodes it with
+// DecodeRequest.
 func decodeBody(body io.Reader, v *RunRequest) error {
 	data, err := io.ReadAll(io.LimitReader(body, 1<<20))
 	if err != nil {
 		return err
 	}
-	if len(strings.TrimSpace(string(data))) == 0 {
+	return DecodeRequest(data, v)
+}
+
+// DecodeRequest parses a JSON request (an HTTP body or a journaled
+// submit) into v. Empty input leaves v zero. Unknown fields are rejected
+// by name, so a typo fails loudly and a journal entry written by a newer
+// build fails its job instead of silently dropping a knob.
+func DecodeRequest(data []byte, v any) error {
+	if len(bytes.TrimSpace(data)) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
